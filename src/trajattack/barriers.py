@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError
+from .core import ConfigError, DataError, hypot_grad
 from .gradtape import absolute, log, norm2, reduce_min, sqrt, value, where
 
 OBSERVED_MODES = ("time", "time_traj")
@@ -137,41 +137,120 @@ def observed_barrier(mode, pert_pts, ref_pts, d_max):
 
 
 # ---------------------------------------------------------------------------
-# plain-numpy constraint evaluation (used by the step-size control loop)
+# array constraint evaluation: the step-size control and the attack's
+# gradient read the same distance arrays
+
+
+def _matched_distances(pts, ref):
+    """Displacement of each point from its reference point; (offsets, (..., N))."""
+    off = pts - ref
+    return off, np.hypot(off[..., 0], off[..., 1])
+
+
+def _segment_table(points, ref):
+    """Distances of points (..., N, 2) to every segment of a reference polyline.
+
+    Returns (d, branch, parts): d is (..., N, S); branch is 0 where the
+    nearest point of the segment is its end c (or the segment is
+    degenerate), 1 where it is interior, 2 where it is the start b; parts
+    holds the offsets from c and b and the signed cross product the
+    pullback needs.  Segment j runs from reference point j to j + 1, so the
+    offsets and their norms are formed once per reference point and shared.
+    """
+    pts = np.asarray(points, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    _, _, ux, uy, seg2 = _segment_arrays(ref)
+    safe2 = np.where(seg2 == 0.0, 1.0, seg2)
+    seg = np.sqrt(safe2)
+    ox = pts[..., 0:1] - ref[:, 0]
+    oy = pts[..., 1:2] - ref[:, 1]
+    norm = np.hypot(ox, oy)
+    wx, wy, d_c = ox[..., 1:], oy[..., 1:], norm[..., 1:]
+    bx, by, d_b = ox[..., :-1], oy[..., :-1], norm[..., :-1]
+    r = (wx * ux + wy * uy) / safe2
+    cross = wx * uy - wy * ux
+    d_perp = np.abs(cross) / seg
+    low = (r <= 0.0) | (seg2 == 0.0)
+    interior = r < 1.0
+    d = np.where(low, d_c, np.where(interior, d_perp, d_b))
+    branch = np.where(low, 0, np.where(interior, 1, 2))
+    return d, branch, (wx, wy, bx, by, cross, ux, uy, seg)
 
 
 def _polyline_distances(points, ref):
-    """Distance from each of N points to a reference polyline; (N,) array."""
-    pts = np.asarray(points, dtype=float)
-    b, c, ux, uy, seg2 = _segment_arrays(ref)
-    safe2 = np.where(seg2 == 0.0, 1.0, seg2)
-    wx = pts[:, 0:1] - c[:, 0]
-    wy = pts[:, 1:2] - c[:, 1]
-    r = (wx * ux + wy * uy) / safe2
-    d_c = np.hypot(wx, wy)
-    d_b = np.hypot(pts[:, 0:1] - b[:, 0], pts[:, 1:2] - b[:, 1])
-    d_perp = np.abs(wx * uy - wy * ux) / np.sqrt(safe2)
-    low = (r <= 0.0) | (seg2 == 0.0)
-    d = np.where(low, d_c, np.where(r < 1.0, d_perp, d_b))
-    return d.min(axis=1)
+    """Distance from each point (..., N, 2) to a reference polyline; (..., N)."""
+    return _segment_table(points, ref)[0].min(axis=-1)
+
+
+def _polyline_distances_grad(points, ref):
+    """Polyline distance per point and its gradient wrt the point, (N, 2).
+
+    The nearest segment is the first minimizer; the gradient follows that
+    segment's active branch, with the zero subgradient at a norm or
+    absolute-value kink.
+    """
+    d, branch, (wx, wy, bx, by, cross, ux, uy, seg) = _segment_table(points, ref)
+    rows = np.arange(len(d))
+    j = np.argmin(d, axis=1)
+    dist = d[rows, j]
+    kind = branch[rows, j]
+    gcx, gcy = hypot_grad(wx[rows, j], wy[rows, j], dist)
+    gbx, gby = hypot_grad(bx[rows, j], by[rows, j], dist)
+    s = np.sign(cross[rows, j]) / seg[j]
+    gx = np.choose(kind, (gcx, s * uy[j], gbx))
+    gy = np.choose(kind, (gcy, -s * ux[j], gby))
+    return dist, np.column_stack([gx, gy])
 
 
 def constraint_distances(points, ref_pts, mode):
-    """All distances a barrier form constrains, as one flat array.
+    """All distances a barrier form constrains, along the last axis.
 
-    mode "time": matched-index displacement per point.  mode "time_traj":
-    polyline distance per point plus the matched displacement of the final
-    point.  mode "traj": polyline distance per point.  mode "none": empty.
+    points may stack several trajectories, (..., N, 2); the result is
+    (..., M).  mode "time": matched-index displacement per point.  mode
+    "time_traj": polyline distance per point plus the matched displacement
+    of the final point.  mode "traj": polyline distance per point.  mode
+    "none": empty.
     """
     pts = np.asarray(points, dtype=float)
     ref = np.asarray(ref_pts, dtype=float)
     if mode == "none":
-        return np.empty(0)
+        return np.empty(pts.shape[:-2] + (0,))
     if mode == "time":
-        return np.hypot(pts[:, 0] - ref[:, 0], pts[:, 1] - ref[:, 1])
+        return _matched_distances(pts, ref)[1]
     if mode == "traj":
         return _polyline_distances(pts, ref)
     if mode == "time_traj":
-        final = np.hypot(pts[-1, 0] - ref[-1, 0], pts[-1, 1] - ref[-1, 1])
-        return np.append(_polyline_distances(pts, ref), final)
+        final = _matched_distances(pts[..., -1:, :], ref[-1:])[1]
+        return np.concatenate([_polyline_distances(pts, ref), final], axis=-1)
+    raise ConfigError(f"unknown barrier mode {mode!r}")
+
+
+def _mean_log_barrier(d, grad_d, d_max):
+    """Mean of -ln(d_max - d) and its gradient, from per-point gradients of d."""
+    if d.max() >= d_max:
+        raise InfeasibleError(f"constrained distance {d.max():.6g} >= d_max {d_max:.6g}")
+    gap = d_max - d
+    n = len(d)
+    return -np.log(gap).sum() / n, grad_d / (gap * n)[:, None]
+
+
+def barrier_grad(mode, points, ref_pts, d_max):
+    """A barrier form on (N, 2) arrays; returns (loss, d/dpoints).
+
+    Reads the distances constraint_distances checks, so an iterate the
+    step-size control accepts always gives a finite barrier.
+    """
+    pts = np.asarray(points, dtype=float)
+    ref = np.asarray(ref_pts, dtype=float)
+    if mode == "time":
+        off, d = _matched_distances(pts, ref)
+        return _mean_log_barrier(d, np.column_stack(hypot_grad(off[:, 0], off[:, 1], d)),
+                                 d_max)
+    if mode == "traj":
+        return _mean_log_barrier(*_polyline_distances_grad(pts, ref), d_max)
+    if mode == "time_traj":
+        total, grad = barrier_grad("traj", pts, ref, d_max)
+        pinned, g_last = barrier_grad("time", pts[-1:], ref[-1:], d_max)
+        grad[-1] += g_last[0]
+        return total + pinned, grad
     raise ConfigError(f"unknown barrier mode {mode!r}")

@@ -167,6 +167,9 @@ def _pick(*values):
 
 
 def cmd_attack(args):
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel (or ${PARALLEL_ENV}) must be at least 1, "
+                          f"got {args.parallel}")
     scenarios = ingest_scenarios(args.scenarios)
     file_cfg = _load_attack_config(args.config) if args.config else {}
     barrier_cfg = file_cfg.get("barrier", {})
@@ -289,6 +292,14 @@ def _range_flag(parser, name, help_text):
                         default=None, help=help_text)
 
 
+def _parallel_default():
+    raw = os.environ.get(PARALLEL_ENV, "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"${PARALLEL_ENV} must be an integer, got {raw!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="trajattack",
@@ -336,7 +347,7 @@ def build_parser():
                      help="override dataset-derived upper acceleration bound")
     att.add_argument("--seed", type=int, default=None, help="predictor noise seed")
     att.add_argument("--parallel", type=int,
-                     default=int(os.environ.get(PARALLEL_ENV, "1")),
+                     default=_parallel_default(),
                      help=f"worker processes (default ${PARALLEL_ENV} or 1)")
     att.set_defaults(func=cmd_attack)
 
@@ -349,9 +360,8 @@ def build_parser():
 
 def main(argv=None):
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -248,6 +248,16 @@ class PredictionSet:
 # geometry kernels
 
 
+def hypot_grad(dx, dy, n):
+    """Gradient of n = hypot(dx, dy) with respect to (dx, dy), as arrays.
+
+    n == 0 only where dx == dy == 0; there the result is the zero
+    subgradient, as the tape's norm2 defines it.
+    """
+    safe = np.where(n == 0.0, 1.0, n)
+    return dx / safe, dy / safe
+
+
 def point_segment_distance(a, b, c):
     """Distance from point a to the closed segment spanned by b and c.
 

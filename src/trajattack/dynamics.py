@@ -13,7 +13,9 @@ its sign through reversals: a displacement pointing against the current
 heading flips the speed sign rather than the heading.
 
 The *_xy functions operate on raw coordinates that may be plain floats or
-gradtape nodes; the typed API wraps them for float use.
+gradtape nodes; the typed API wraps them for float use.  unicycle_scan and
+inverse_states are the array forms the attack's gradient runs on; each has
+its reverse-mode derivative (pullback) beside it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import math
 
 import numpy as np
 
-from .core import AgentState, ControlSequence, DataError, Trajectory, wrap_angle
+from .core import (AgentState, ControlSequence, DataError, Trajectory, hypot_grad,
+                   wrap_angle)
 from .gradtape import Var, atan2, cos, norm2, sin, value
 
 # Speed dead-band (m/s) below which curvature extraction returns 0 instead
@@ -190,3 +193,131 @@ def joint_rollout(s0, u_past, v_future):
     X = Trajectory(np.array(past_pts, dtype=float), dt, t0_index=-len(u_past))
     Y = Trajectory(np.array(fut_pts, dtype=float), dt, t0_index=1)
     return X, Y
+
+
+# ---------------------------------------------------------------------------
+# array forms with hand-written pullbacks
+
+
+def _suffix_sum(a):
+    """out[i] = a[i] + a[i + 1] + ... along axis 0."""
+    return np.cumsum(a[::-1], axis=0)[::-1]
+
+
+def unicycle_scan(x0, y0, theta0, v0, accels, kappas, dt):
+    """Iterate step_xy over the leading axis of (accels, kappas).
+
+    accels and kappas share one shape (N, ...); the scalar start state
+    applies to every trailing entry.  Returns x, y, theta, v of shape
+    (N + 1, ...) with the start state in row 0.  Every running sum is a
+    cumulative sum in step order over the same products step_xy forms,
+    so the rows are bitwise equal to the scalar loop.
+    """
+    first = (1,) + accels.shape[1:]
+    v = np.cumsum(np.concatenate([np.full(first, v0), accels * dt]), axis=0)
+    theta = np.cumsum(np.concatenate([np.full(first, theta0), v[:-1] * kappas * dt]),
+                      axis=0)
+    x = np.cumsum(np.concatenate([np.full(first, x0), v[1:] * np.cos(theta[1:]) * dt]),
+                  axis=0)
+    y = np.cumsum(np.concatenate([np.full(first, y0), v[1:] * np.sin(theta[1:]) * dt]),
+                  axis=0)
+    return x, y, theta, v
+
+
+def unicycle_scan_pullback(theta, v, kappas, dt, gx, gy):
+    """Reverse-mode derivative of unicycle_scan.
+
+    theta and v are the scan's outputs, gx and gy the adjoints of its x and
+    y rows.  Returns the adjoints of (x0, y0, theta0, v0), one per trailing
+    entry, and of accels and kappas.
+    """
+    cos = np.cos(theta[1:])
+    sin = np.sin(theta[1:])
+    # Row s >= 1 of x and y adds v[s] * (cos, sin)(theta[s]) * dt, which
+    # every later row carries: its adjoint is the suffix sum from s.
+    gx_s = _suffix_sum(gx[1:])
+    gy_s = _suffix_sum(gy[1:])
+    g_v = np.zeros_like(v)
+    g_v[1:] = (gx_s * cos + gy_s * sin) * dt
+    g_theta = _suffix_sum(v[1:] * (gy_s * cos - gx_s * sin) * dt)
+    g_kappa = g_theta * v[:-1] * dt
+    g_v[:-1] += g_theta * kappas * dt
+    g_v_later = _suffix_sum(g_v[1:])
+    return (gx.sum(axis=0), gy.sum(axis=0), g_theta[0], g_v[0] + g_v_later[0],
+            g_v_later * dt, g_kappa)
+
+
+def inverse_states(xs, ys, dt):
+    """Heading and signed speed at every point, the states extract_xy passes.
+
+    Returns (theta, v, vx, vy, sign): theta and v have one entry per point;
+    vx, vy are the step velocities and sign the direction of travel per
+    step (0 for a stationary step, whose heading carries over).  The
+    arithmetic mirrors extract_xy on tape nodes, which divide by a constant
+    as a product with its reciprocal, so the states are bitwise equal to
+    the ones the tape records.
+    """
+    n = len(xs)
+    if n < 2:
+        raise DataError("extraction needs at least 2 points")
+    inv_dt = 1.0 / dt
+    vx = (xs[1:] - xs[:-1]) * inv_dt
+    vy = (ys[1:] - ys[:-1]) * inv_dt
+    vxl = vx.tolist()
+    vyl = vy.tolist()
+    theta = np.empty(n)
+    v = np.empty(n)
+    sign = np.zeros(n - 1)
+    if vxl[0] == 0.0 and vyl[0] == 0.0:
+        th = sp = 0.0
+    else:
+        th = math.atan2(vyl[0], vxl[0])
+        sp = math.hypot(vxl[0], vyl[0])
+    theta[0] = th
+    v[0] = sp
+    for t in range(n - 1):
+        if vxl[t] == 0.0 and vyl[t] == 0.0:
+            sp = 0.0
+        else:
+            ahead = abs(wrap_angle(math.atan2(vyl[t], vxl[t]) - th)) <= _HALF_PI
+            d = 1.0 if ahead else -1.0
+            sp = math.hypot(vxl[t], vyl[t]) * d
+            th = math.atan2(vyl[t] * d, vxl[t] * d)
+            sign[t] = d
+        theta[t + 1] = th
+        v[t + 1] = sp
+    return theta, v, vx, vy, sign
+
+
+def inverse_states_pullback(vx, vy, sign, dt, g_theta, g_v):
+    """Reverse-mode derivative of inverse_states.
+
+    g_theta and g_v are adjoints of the per-point states.  Returns the
+    adjoints of xs and ys.  Constant states (the speed of a stationary
+    step, a start at rest) take no adjoint; a stationary step hands its
+    heading adjoint to the state before it.
+    """
+    g_theta = np.array(g_theta, dtype=float)
+    for t in np.flatnonzero(sign == 0.0)[::-1]:
+        g_theta[t] += g_theta[t + 1]
+    dir_x, dir_y = hypot_grad(vx, vy, np.hypot(vx, vy))
+    r2 = vx * vx + vy * vy
+    inv_r2 = np.divide(1.0, r2, out=np.zeros_like(r2), where=r2 != 0.0)
+    # State t + 1 reads step t: v = |step| * sign, theta = atan2 of the step,
+    # whose derivative does not depend on the sign.  A stationary step has
+    # sign 0 and a zero step, so both terms vanish there.
+    g_speed = g_v[1:] * sign
+    g_head = g_theta[1:] * inv_r2
+    g_vx = g_speed * dir_x - g_head * vy
+    g_vy = g_speed * dir_y + g_head * vx
+    # the start state reads the first step as well, without the sign
+    g_vx[0] += g_v[0] * dir_x[0] - g_theta[0] * inv_r2[0] * vy[0]
+    g_vy[0] += g_v[0] * dir_y[0] + g_theta[0] * inv_r2[0] * vx[0]
+    inv_dt = 1.0 / dt
+    g_xs = np.zeros(len(vx) + 1)
+    g_ys = np.zeros(len(vx) + 1)
+    g_xs[1:] += g_vx * inv_dt
+    g_xs[:-1] -= g_vx * inv_dt
+    g_ys[1:] += g_vy * inv_dt
+    g_ys[:-1] -= g_vy * inv_dt
+    return g_xs, g_ys

@@ -9,14 +9,16 @@ so the victim does not anticipate the collision that does happen.
 
 Every loss has a typed wrapper over concrete trajectory/prediction types
 and an *_xy core over raw per-step coordinates that also accepts tape
-nodes; both run identical arithmetic.
+nodes; both run identical arithmetic.  The *_grad forms take the samples
+as (T, K) coordinate arrays and return the loss with its gradient, for
+the attack's hand-written adjoint.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DataError
+from .core import DataError, hypot_grad
 from .gradtape import fold_min, norm2, value, vmean, vsum
 
 OBJECTIVES = ("ade", "fde", "collision_fp", "collision_fn")
@@ -74,6 +76,75 @@ def collision_fn_xy(y_xy, pred_xy, ego_pts, clean_mean_pts):
     for (px, py), ref in zip(pred_xy, clean_mean_pts):
         drift = drift + norm2(vmean(px) - ref[0], vmean(py) - ref[1])
     return approach + drift / len(pred_xy)
+
+
+def _offsets(xs, ys, pts):
+    """Per-step offsets of (T, K) samples from T points, and their norms."""
+    dx = xs - pts[:, 0:1]
+    dy = ys - pts[:, 1:2]
+    return dx, dy, np.hypot(dx, dy)
+
+
+def ade_grad(xs, ys, ref_pts):
+    """ade_xy on (T, K) arrays; returns (loss, d/dxs, d/dys)."""
+    _check_horizon(len(xs), len(ref_pts), "ade")
+    dx, dy, d = _offsets(xs, ys, ref_pts)
+    scale = 1.0 / d.size
+    gx, gy = hypot_grad(dx, dy, d)
+    return -(d.sum() * scale), -scale * gx, -scale * gy
+
+
+def fde_grad(xs, ys, ref_pts):
+    """fde_xy on (T, K) arrays; returns (loss, d/dxs, d/dys)."""
+    _check_horizon(len(xs), len(ref_pts), "fde")
+    dx, dy, d = _offsets(xs[-1:], ys[-1:], ref_pts[-1:])
+    scale = 1.0 / d.size
+    gx = np.zeros_like(xs)
+    gy = np.zeros_like(ys)
+    gx[-1:], gy[-1:] = hypot_grad(dx, dy, d)
+    return -(d.sum() * scale), -scale * gx, -scale * gy
+
+
+def collision_fp_grad(xs, ys, ego_pts):
+    """collision_fp_xy on (T, K) arrays; returns (loss, d/dxs, d/dys).
+
+    Each sample's closest step is its first minimizer over time.
+    """
+    _check_horizon(len(xs), len(ego_pts), "collision_fp")
+    dx, dy, d = _offsets(xs, ys, ego_pts)
+    k = d.shape[1]
+    first = np.argmin(d, axis=0)
+    cols = np.arange(k)
+    closest = d[first, cols]
+    gx = np.zeros_like(xs)
+    gy = np.zeros_like(ys)
+    gx[first, cols], gy[first, cols] = hypot_grad(dx[first, cols], dy[first, cols],
+                                                  closest)
+    return closest.sum() / k, gx / k, gy / k
+
+
+def collision_fn_grad(y_pts, xs, ys, ego_pts, clean_mean_pts):
+    """collision_fn_xy on a (T, 2) future and (T, K) samples.
+
+    Returns (loss, d/dy_pts, d/dxs, d/dys).  The closest approach is the
+    first minimizer over time.
+    """
+    _check_horizon(len(y_pts), len(ego_pts), "collision_fn")
+    _check_horizon(len(xs), len(clean_mean_pts), "collision_fn")
+    gap = y_pts - ego_pts
+    approach = np.hypot(gap[:, 0], gap[:, 1])
+    first = int(np.argmin(approach))
+    g_y = np.zeros_like(y_pts)
+    g_y[first] = hypot_grad(gap[first, 0], gap[first, 1], approach[first])
+    k = xs.shape[1]
+    ex = xs.sum(axis=1) / k - clean_mean_pts[:, 0]
+    ey = ys.sum(axis=1) / k - clean_mean_pts[:, 1]
+    drift = np.hypot(ex, ey)
+    gx, gy = hypot_grad(ex, ey, drift)
+    scale = 1.0 / (len(xs) * k)
+    gxs = np.broadcast_to((gx * scale)[:, None], xs.shape)
+    gys = np.broadcast_to((gy * scale)[:, None], ys.shape)
+    return approach[first] + drift.sum() / len(xs), g_y, gxs, gys
 
 
 def loss_ade(y_tar, pred):

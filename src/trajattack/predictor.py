@@ -7,7 +7,8 @@ K fixed Gaussian offsets (clipped at three sigma, so sampled controls
 stay dynamically plausible), and rolls each sample forward from the
 state at the prediction point.  The offsets are constants of the
 computation, so gradients flow through the observed positions only and
-the prediction is differentiable end to end.
+the prediction is differentiable end to end: predict_xy records on the
+gradient tape, predict_vjp pairs the array forward with its pullback.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, PredictionSet, PredictorError, Trajectory
-from .dynamics import extract_xy, step_xy
+from .core import (ConfigError, DataError, PredictionSet, PredictorError, Trajectory,
+                   wrap_angle)
+from .dynamics import (V_EPS, extract_xy, inverse_states, inverse_states_pullback,
+                       step_xy, unicycle_scan, unicycle_scan_pullback)
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,61 @@ class KinematicPredictor:
             x, y, th, v = step_xy(x, y, th, v, a_k, k_k, dt)
             out.append((x, y))
         return out
+
+    def predict_vjp(self, past, dt, horizon):
+        """predict_xy on an (H, 2) float array, with its pullback.
+
+        Returns ((xs, ys), pullback): xs and ys are (horizon, K) sample
+        coordinates, bitwise equal to what predict_xy records on the tape
+        for the same past, and pullback(g_xs, g_ys) returns the (H, 2)
+        adjoint of the past.  Only the last smoothing_window controls and
+        the terminal state enter the samples, so the adjoint is nonzero on
+        the last few past points only.
+        """
+        if horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {horizon}")
+        if len(past) < 3:
+            raise DataError("prediction needs at least 3 past points")
+        theta, v, vx, vy, sign = inverse_states(past[:, 0], past[:, 1], dt)
+        m = len(past) - 1
+        w = min(self.config.smoothing_window, m)
+        lo = m - w
+        # Tape nodes divide by a constant as a product with its reciprocal,
+        # and the nominal control sums the window in index order.
+        accels = (v[lo + 1:] - v[lo:m]) * (1.0 / dt)
+        k_scale = np.divide(1.0, v[lo:m] * dt, out=np.zeros(w),
+                            where=np.abs(v[lo:m]) >= V_EPS)
+        kappas = np.array([wrap_angle(d) for d in (theta[lo + 1:] - theta[lo:m]).tolist()])
+        kappas = kappas * k_scale
+        a_k = np.cumsum(accels)[-1] * (1.0 / w) + self._offset_a
+        k_k = np.cumsum(kappas)[-1] * (1.0 / w) + self._offset_kappa
+        shape = (horizon, len(a_k))
+        k_steps = np.broadcast_to(k_k, shape)
+        x, y, th, sp = unicycle_scan(past[-1, 0], past[-1, 1], theta[-1], v[-1],
+                                     np.broadcast_to(a_k, shape), k_steps, dt)
+
+        def pullback(g_xs, g_ys):
+            top = np.zeros((1, shape[1]))
+            g_x0, g_y0, g_th0, g_v0, g_a, g_k = unicycle_scan_pullback(
+                th, sp, k_steps, dt, np.concatenate([top, g_xs]),
+                np.concatenate([top, g_ys]))
+            g_a_t = g_a.sum() * (1.0 / w)     # adjoint of each window control
+            g_k_t = g_k.sum() * (1.0 / w)
+            g_theta = np.zeros(m + 1)
+            g_v = np.zeros(m + 1)
+            g_theta[-1] = g_th0.sum()
+            g_v[-1] = g_v0.sum()
+            g_v[lo + 1:] += g_a_t * (1.0 / dt)
+            g_v[lo:m] -= g_a_t * (1.0 / dt)
+            g_theta[lo + 1:] += g_k_t * k_scale
+            g_theta[lo:m] -= g_k_t * k_scale
+            g_v[lo:m] -= g_k_t * kappas * k_scale * dt
+            g_px, g_py = inverse_states_pullback(vx, vy, sign, dt, g_theta, g_v)
+            g_px[-1] += g_x0.sum()
+            g_py[-1] += g_y0.sum()
+            return np.column_stack([g_px, g_py])
+
+        return (x[1:], y[1:]), pullback
 
     def predict(self, past_target, past_ego=None, *, horizon):
         """Predict a PredictionSet for the target from its observed past.

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .core import (AgentState, ConfigError, ControlSequence, DataError,
                    GenerationError, Scenario, Trajectory)
@@ -245,6 +244,9 @@ def smooth_savitzky_golay(traj, window=7, poly_order=3):
             f"poly_order={poly_order}")
     if window > len(traj):
         raise ConfigError(f"window {window} exceeds trajectory length {len(traj)}")
+    # scipy.signal costs most of the package's import time and only this
+    # function needs it
+    from scipy.signal import savgol_filter
     smoothed = savgol_filter(traj.points, window, poly_order, axis=0, mode="interp")
     return Trajectory(smoothed, traj.dt, traj.t0_index)
 
@@ -371,7 +373,7 @@ def _ingest_csv(path):
                 if key not in _ROLES:
                     raise ValueError(f"unknown agent/role {key}")
                 entry = groups.setdefault(sid, {k: [] for k in _ROLES})
-                entry[key].append((int(t_index), float(x), float(y), float(dt)))
+                entry[key].append((int(t_index), float(x), float(y), float(dt), lineno))
                 first_line.setdefault(sid, lineno)
             except ValueError as exc:
                 log.warning("%s:%d: malformed row (%s); skipped", path, lineno, exc)
@@ -380,7 +382,7 @@ def _ingest_csv(path):
     for sid, entry in groups.items():
         where = f"{path}:{first_line[sid]}"
         try:
-            dts = {dt for rows in entry.values() for _, _, _, dt in rows}
+            dts = {dt for rows in entry.values() for _, _, _, dt, _ in rows}
             if len(dts) != 1:
                 raise DataError(f"{where}: scenario {sid!r} mixes dt values")
             dt = dts.pop()
@@ -389,7 +391,13 @@ def _ingest_csv(path):
                       "T": len(entry[("target", "future")])}
             for key in _ROLES:
                 rows = sorted(entry[key])
-                record["_".join(key)] = [(x, y) for _, x, y, _ in rows]
+                for prev, row in zip(rows, rows[1:]):
+                    if row[0] != prev[0] + 1:
+                        raise DataError(
+                            f"{path}:{row[4]}: scenario {sid!r} {'_'.join(key)} "
+                            f"t_index {row[0]} follows {prev[0]}; indices must be "
+                            f"consecutive and unique")
+                record["_".join(key)] = [(x, y) for _, x, y, _, _ in rows]
             out.append(_scenario_from_record(record, where))
         except DataError as exc:
             log.warning("%s; scenario skipped", exc)

@@ -1,9 +1,10 @@
-"""Independent reference implementations used to check the geometry kernels.
+"""Independent reference implementations used to check the package.
 
 Everything here is deliberately brute force and shares no code with the
 package: segment distance by iterated dense sampling, box overlap by point
 containment of corners and grids plus orientation-predicate edge crossings
-(the exact limit of densifying the boundary sample).
+(the exact limit of densifying the boundary sample), gradients by central
+differences.
 """
 
 import numpy as np
@@ -35,6 +36,25 @@ def segment_distance_bruteforce(a, b, c, n0=257, rounds=12, m=65):
         lo = np.clip(t_best - step, 0.0, 1.0)
         hi = np.clip(t_best + step, 0.0, 1.0)
     return best
+
+
+def central_difference_error(g, f, x0, h=1e-5):
+    """Worst disagreement of gradient g with central differences of f at x0.
+
+    The metric of gradtape.finite_diff_check: the maximum over coordinates
+    of |g_i - fd_i| / max(1, |fd_i|), with fd_i = (f(x0 + h e_i) - f(x0 - h e_i)) / 2h.
+    f takes a list of floats and returns a number.
+    """
+    x0 = [float(v) for v in x0]
+    worst = 0.0
+    for i in range(len(x0)):
+        xp = list(x0)
+        xm = list(x0)
+        xp[i] += h
+        xm[i] -= h
+        fd = (float(f(xp)) - float(f(xm))) / (2.0 * h)
+        worst = max(worst, abs(g[i] - fd) / max(1.0, abs(fd)))
+    return worst
 
 
 def box_corners(center, heading, length, width):

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import box_overlap_oracle, segment_distance_bruteforce
+from oracles import (box_overlap_oracle, central_difference_error,
+                     segment_distance_bruteforce)
 from trajattack.attack import AttackConfig, AttackProblem
 from trajattack.barriers import BarrierConfig, constraint_distances
 from trajattack.cli import main
@@ -195,6 +196,7 @@ def test_criterion_3_gradient_correctness():
     rng = np.random.default_rng(SEED)
     start = time.time()
     worst = {}
+    worst_adjoint = 0.0
     done = 0
     while done < 100:
         params = sample_left_turn_params(rng, preset="default")
@@ -213,13 +215,18 @@ def test_criterion_3_gradient_correctness():
         err = finite_diff_check(problem.eval_loss, delta.ravel().tolist())
         key = (objective, observed, future)
         worst[key] = max(worst.get(key, 0.0), err)
+        _, g = problem.loss_and_grad(delta)
+        worst_adjoint = max(worst_adjoint, central_difference_error(
+            g.ravel(), problem.eval_loss, delta.ravel().tolist()))
         done += 1
     elapsed = time.time() - start
     peak = max(worst.values())
-    ok = peak < 1e-4 and elapsed < 60.0 and len(worst) == 12
+    ok = (peak < 1e-4 and worst_adjoint < 1e-4 and elapsed < 60.0
+          and len(worst) == 12)
     _report(3, "gradient correctness", ok,
-            f"worst rel error {peak:.2e} over 100 scenarios covering "
-            f"{len(worst)} objective/barrier combos, {elapsed:.1f}s")
+            f"worst rel error {peak:.2e} (tape), {worst_adjoint:.2e} (adjoint) "
+            f"over 100 scenarios covering {len(worst)} objective/barrier combos, "
+            f"{elapsed:.1f}s")
 
 
 def test_criterion_4_constraint_soundness(grid_rows):

@@ -1,5 +1,6 @@
 """PGD attack loop: projection, step control, feasibility, determinism."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,14 @@ from conftest import make_trajectory, straight_trajectory
 from trajattack.attack import (AttackConfig, AttackProblem, PGDState,
                                control_box, dataset_accel_bounds,
                                pgd_iteration, project_box, run_attack)
-from trajattack.core import ConfigError, ControlSequence, Perturbation
+from trajattack.barriers import BarrierConfig
+from trajattack.core import (AgentState, ConfigError, ControlSequence, Perturbation,
+                             Scenario, Trajectory)
+from trajattack.dynamics import rollout
+from trajattack.gradtape import Var, grad, value
+from trajattack.objectives import OBJECTIVES
 from trajattack.predictor import KinematicPredictor, PredictorConfig
+from trajattack.scenario_io import generate_left_turn, sample_left_turn_params
 
 
 def seq(rows, dt=0.1):
@@ -124,9 +131,9 @@ class _StubProblem:
     def loss_and_grad(self, delta):
         return self._loss, self._grad.copy()
 
-    def feasibility(self, delta):
-        ok = self._feasible(delta)
-        return ok, float(np.abs(delta).max())
+    def feasibility(self, deltas):
+        ok = np.array([bool(self._feasible(d)) for d in deltas])
+        return ok, np.abs(deltas).max(axis=(1, 2))
 
 
 class TestPgdIteration:
@@ -182,6 +189,21 @@ class TestPgdIteration:
         total = 0.01 * sum(0.5 ** m for m in range(10))
         np.testing.assert_allclose(state.delta, -g * total, atol=1e-12)
         assert math.isclose(state.alpha, 0.01 * 0.5 ** 10, rel_tol=1e-12)
+
+    def test_halving_past_the_first_block(self):
+        calls = []
+
+        def feasible(d):
+            calls.append(1)
+            return len(calls) > 10   # candidates 0-9 rejected
+
+        problem = _StubProblem(grad=[[1.0, 0.0]], lo=[[-1, -1]], hi=[[1, 1]],
+                               feasible=feasible)
+        state = PGDState(delta=np.zeros((1, 2)), alpha=0.5)
+        state, _ = pgd_iteration(problem, state)
+        assert state.halving_events == 10
+        assert state.rejections == 0
+        assert state.delta[0, 0] == -0.5 * 0.5 ** 10
 
     def test_max_accepted_distance_tracks_worst(self):
         problem = _StubProblem(grad=[[1.0, 0.0]], lo=[[-1, -1]], hi=[[1, 1]])
@@ -252,3 +274,112 @@ class TestRunAttack:
         x_roll, y_roll = joint_rollout(s0, res.u_pert, res.v_pert)
         np.testing.assert_allclose(x_roll.points, res.x_pert.points, atol=1e-9)
         np.testing.assert_allclose(y_roll.points, res.y_pert.points, atol=1e-9)
+
+    def test_final_loss_is_loss_at_returned_perturbation(self):
+        scenario = generate_left_turn(
+            sample_left_turn_params(np.random.default_rng(7)), seed=7)
+        cfg = AttackConfig(max_iterations=3)
+        predictor = KinematicPredictor(PredictorConfig())
+        res = run_attack(scenario, cfg, predictor)
+        problem = AttackProblem(scenario, cfg, predictor)
+        controls = np.vstack([res.u_pert.inputs, res.v_pert.inputs])
+        delta = controls - problem.ref_controls
+        assert np.array_equal(problem.ref_controls + delta, controls)
+        assert res.diagnostics["final_loss"] == problem.loss_and_grad(delta)[0]
+
+
+BARRIER_FORMS = (("time", "none"), ("time_traj", "none"), ("time", "traj"))
+
+
+@pytest.mark.parametrize("barrier", [("time", "none"), ("time_traj", "traj")])
+def test_stacked_feasibility_equals_one_at_a_time(barrier):
+    """The step search checks candidates as a stack; each answer is bitwise
+    the one a single-candidate check gives."""
+    rng = np.random.default_rng(21)
+    scenario = generate_left_turn(sample_left_turn_params(rng), seed=21)
+    cfg = AttackConfig(a_min=-4.0, a_max=4.0,
+                       barrier=BarrierConfig(observed_mode=barrier[0], future_mode=barrier[1]))
+    problem = AttackProblem(scenario, cfg, KinematicPredictor(PredictorConfig(n_samples=4)))
+    direction = np.column_stack([rng.uniform(1.0, 2.0, problem.n_controls),
+                                 rng.uniform(0.02, 0.05, problem.n_controls)])
+    cands = np.clip(direction * 0.5 ** np.arange(12)[:, None, None], problem.lo, problem.hi)
+    ok, worst = problem.feasibility(cands)
+    assert ok.shape == worst.shape == (12,)
+    assert not ok[0] and ok[-1]
+    for k, cand in enumerate(cands):
+        one_ok, one_worst = problem.feasibility(cand)
+        assert one_ok == ok[k] and one_worst == worst[k]
+
+
+def _assert_adjoint_matches_tape(problem, probes):
+    for delta in probes:
+        leaves = [Var(float(v)) for v in delta.ravel()]
+        tape_loss = problem.eval_loss(leaves)
+        tape_grad = np.array(grad(tape_loss, leaves)).reshape(delta.shape)
+        loss, g = problem.loss_and_grad(delta)
+        assert abs(loss - value(tape_loss)) <= 1e-9 * abs(value(tape_loss))
+        assert np.max(np.abs(g - tape_grad)) <= 1e-9 * np.max(np.abs(tape_grad))
+
+
+def _feasible_probes(problem, rng, n=2):
+    """The unperturbed controls (every barrier distance at its cone apex)
+    and n random feasible perturbations."""
+    probes = [np.zeros((problem.n_controls, 2))]
+    while len(probes) < n + 1:
+        delta = np.clip(np.column_stack([rng.uniform(-0.1, 0.1, problem.n_controls),
+                                         rng.uniform(-0.002, 0.002, problem.n_controls)]),
+                        problem.lo, problem.hi)
+        if problem.feasibility(delta)[0]:
+            probes.append(delta)
+    return probes
+
+
+@pytest.mark.parametrize("objective,barrier",
+                         list(itertools.product(OBJECTIVES, BARRIER_FORMS)))
+def test_adjoint_matches_tape(objective, barrier):
+    """The hand-written adjoint against the tape on eval_loss, to 1e-9 relative."""
+    rng = np.random.default_rng(3 * OBJECTIVES.index(objective)
+                                + BARRIER_FORMS.index(barrier))
+    scenario = generate_left_turn(sample_left_turn_params(rng), seed=int(rng.integers(1000)))
+    cfg = AttackConfig(objective=objective, a_min=-4.0, a_max=4.0,
+                       barrier=BarrierConfig(observed_mode=barrier[0],
+                                             future_mode=barrier[1]))
+    problem = AttackProblem(scenario, cfg, KinematicPredictor(PredictorConfig()))
+    _assert_adjoint_matches_tape(problem, _feasible_probes(problem, rng))
+
+
+def _scenario_from_controls(accels, kappas, v0, h=12):
+    """Target rolled from the given controls, ego at constant speed nearby."""
+    n = len(accels) + 1
+    target = rollout(AgentState(0.0, 0.0, 0.3, v0),
+                     ControlSequence(np.column_stack([accels, kappas]), 0.1)).points
+    ego = rollout(AgentState(-3.0, 5.0, -1.0, 5.0),
+                  ControlSequence(np.zeros((n - 1, 2)), 0.1)).points
+    return Scenario(Trajectory(ego[:h], 0.1, 1 - h), Trajectory(ego[h:], 0.1, 1),
+                    Trajectory(target[:h], 0.1, 1 - h), Trajectory(target[h:], 0.1, 1))
+
+
+def _degenerate_scenario(kind):
+    rng = np.random.default_rng(5)
+    kappas = rng.uniform(-0.1, 0.1, 23)
+    if kind == "stopping":
+        # speed 1.0 - 4 * 0.25 reaches exactly 0: the last two past steps
+        # are stationary, so the terminal heading is carried over
+        accels = np.r_[np.zeros(6), np.full(4, -2.5), np.zeros(2), np.full(11, 2.0)]
+        return _scenario_from_controls(accels, kappas, 1.0)
+    if kind == "reversing":
+        accels = np.r_[rng.uniform(-6.0, -4.0, 10), rng.uniform(-1.0, 1.0, 13)]
+        return _scenario_from_controls(accels, kappas, 2.0)
+    # a past shorter than the predictor's window reaches the start state
+    return _scenario_from_controls(np.zeros(15), kappas[:15], 5.0, h=4)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("kind", ["stopping", "reversing", "short-past"])
+def test_adjoint_matches_tape_on_degenerate_motion(kind, objective):
+    """Stationary steps, a reversal and a short past in the extracted states."""
+    cfg = AttackConfig(objective=objective, a_min=-9.0, a_max=9.0,
+                       barrier=BarrierConfig(observed_mode="time_traj", future_mode="traj"))
+    problem = AttackProblem(_degenerate_scenario(kind), cfg,
+                            KinematicPredictor(PredictorConfig()))
+    _assert_adjoint_matches_tape(problem, _feasible_probes(problem, np.random.default_rng(0)))

@@ -153,6 +153,10 @@ class TestConstraintDistances:
         expected = [value(d_traj((float(x), float(y)), STRAIGHT)) for x, y in pts]
         np.testing.assert_allclose(d, expected, atol=1e-12)
 
+    def test_traj_before_the_start_measures_to_the_first_point(self):
+        d = constraint_distances([(-0.3, 0.4), (10.6, -0.8)], STRAIGHT, "traj")
+        np.testing.assert_allclose(d, [0.5, 1.0], atol=1e-12)
+
     def test_time_traj_appends_final_pin(self):
         slid = [(x - 0.6, y) for x, y in STRAIGHT]
         d = constraint_distances(slid, STRAIGHT, "time_traj")
@@ -163,3 +167,12 @@ class TestConstraintDistances:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             constraint_distances(STRAIGHT, STRAIGHT, "future")
+
+    @pytest.mark.parametrize("mode", ["none", "time", "traj", "time_traj"])
+    def test_stacked_equals_one_at_a_time(self, mode):
+        rng = np.random.default_rng(11)
+        stack = np.asarray(STRAIGHT) + rng.uniform(-0.5, 0.5, (3, 4, len(STRAIGHT), 2))
+        d = constraint_distances(stack, STRAIGHT, mode)
+        assert d.shape[:2] == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(d[idx], constraint_distances(stack[idx], STRAIGHT, mode))

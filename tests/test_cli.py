@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trajattack.cli import GRID, _stable_seed, main
+from trajattack.cli import GRID, PARALLEL_ENV, _stable_seed, main
 from trajattack.metrics import read_rows_jsonl
 
 
@@ -97,6 +97,17 @@ class TestAttack:
             (tmp_path / "parallel.jsonl").read_bytes()
         assert (tmp_path / "serial.csv").read_bytes() == \
             (tmp_path / "parallel.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_parallel_below_one_is_config_error(self, scene_file, tmp_path, value):
+        assert run("attack", "--scenarios", scene_file, "--out", tmp_path / "x",
+                   "--objective", "ade", "--iters", 1, "--parallel", value) == 2
+        assert not (tmp_path / "x.manifest.json").exists()
+
+    def test_non_integer_parallel_env_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setenv(PARALLEL_ENV, "abc")
+        assert run("--version") == 2
+        assert PARALLEL_ENV in capsys.readouterr().err
 
     def test_missing_scenario_file_is_data_error(self, tmp_path):
         assert run("attack", "--scenarios", tmp_path / "absent.jsonl",

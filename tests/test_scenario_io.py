@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -295,6 +296,23 @@ class TestFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             ingest_scenarios(tmp_path / "absent.jsonl")
+
+    @pytest.mark.parametrize("edit", ["gap", "duplicate"])
+    def test_csv_nonconsecutive_t_index_skipped(self, tmp_path, caplog, edit):
+        path = tmp_path / "scenes.csv"
+        write_scenarios(path, self.scenarios(2))
+        lines = path.read_text().splitlines()
+        # line 3 holds the first scenario's second target-past point
+        fields = lines[2].split(",")
+        fields[3] = "50" if edit == "gap" else lines[1].split(",")[3]
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.WARNING):
+            back = ingest_scenarios(path)
+        assert [s.id for s in back] == [self.scenarios(2)[1].id]
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert any(re.search(r"scenes\.csv:\d+: .*t_index.*scenario skipped", m)
+                   for m in messages), messages
 
     def test_csv_vehicle_defaults(self, tmp_path):
         path = tmp_path / "scenes.csv"
