@@ -6,56 +6,22 @@ observed behaviour, and measures how much the perturbation degrades a
 downstream trajectory predictor.
 """
 
-from .attack import (AttackConfig, AttackProblem, AttackResult, PGDState,
-                     control_box, dataset_accel_bounds, pgd_iteration,
-                     project_box, run_attack)
-from .barriers import (BarrierConfig, InfeasibleError, barrier_point,
-                       barrier_time, barrier_time_traj, barrier_traj,
-                       constraint_distances, d_time, d_traj, observed_barrier)
-from .core import (AgentState, ConfigError, ControlInput, ControlSequence,
-                   DataError, GenerationError, Perturbation, PredictionSet,
-                   PredictorError, Scenario, Trajectory, box_overlap_mask,
-                   oriented_box_overlap, point_segment_distance, wrap_angle)
-from .dynamics import (extract_controls, extract_initial_state, joint_rollout,
-                       phi_forward, rollout, step_xy)
-from .gradtape import Tape, Var, finite_diff_check, grad
-from .metrics import (COLUMNS, MetricRow, aggregate, compute_attack_row,
-                      compute_baseline_row, metric_accel, metric_ade,
-                      metric_cr_fnc, metric_cr_pred, metric_curv, metric_dmax,
-                      metric_dmean, metric_fde, read_rows_jsonl,
-                      write_rows_csv, write_rows_jsonl)
-from .objectives import (compose_total_loss, loss_ade, loss_collision_fn,
-                         loss_collision_fp, loss_fde)
-from .predictor import (FiniteDiffKinematicPredictor, KinematicPredictor,
-                        PredictorConfig, check_deterministic, get_predictor,
-                        predict_mean)
-from .scenario_io import (LeftTurnParams, PRESETS, generate_left_turn,
-                          ingest_scenarios, sample_left_turn_params,
-                          select_prediction_point, smooth_savitzky_golay,
-                          write_scenarios)
+from .attack import AttackConfig, AttackResult, dataset_accel_bounds, run_attack
+from .barriers import BarrierConfig
+from .core import ConfigError, DataError, Scenario, Trajectory
+from .metrics import (COLUMNS, aggregate, compute_attack_row, compute_baseline_row,
+                      read_rows_jsonl, write_rows_csv, write_rows_jsonl)
+from .predictor import KinematicPredictor, PredictorConfig
+from .scenario_io import (PRESETS, generate_left_turn, ingest_scenarios,
+                          sample_left_turn_params, write_scenarios)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState", "AttackConfig", "AttackProblem", "AttackResult",
-    "BarrierConfig", "COLUMNS", "ConfigError", "ControlInput",
-    "ControlSequence", "DataError", "FiniteDiffKinematicPredictor",
-    "GenerationError", "InfeasibleError", "KinematicPredictor",
-    "LeftTurnParams", "MetricRow", "PGDState", "PRESETS", "Perturbation",
-    "PredictionSet", "PredictorConfig", "PredictorError", "Scenario", "Tape",
-    "Trajectory", "Var", "aggregate", "barrier_point", "barrier_time",
-    "barrier_time_traj", "barrier_traj", "box_overlap_mask",
-    "check_deterministic", "compose_total_loss", "compute_attack_row",
-    "compute_baseline_row", "constraint_distances", "control_box",
-    "d_time", "d_traj", "dataset_accel_bounds", "extract_controls",
-    "extract_initial_state", "finite_diff_check", "generate_left_turn",
-    "get_predictor", "grad", "ingest_scenarios", "joint_rollout", "loss_ade",
-    "loss_collision_fn", "loss_collision_fp", "loss_fde", "metric_accel",
-    "metric_ade", "metric_cr_fnc", "metric_cr_pred", "metric_curv",
-    "metric_dmax", "metric_dmean", "metric_fde", "observed_barrier",
-    "oriented_box_overlap", "pgd_iteration", "phi_forward",
-    "point_segment_distance", "predict_mean", "project_box",
-    "read_rows_jsonl", "rollout", "run_attack", "sample_left_turn_params",
-    "select_prediction_point", "smooth_savitzky_golay", "step_xy",
-    "wrap_angle", "write_rows_csv", "write_rows_jsonl", "write_scenarios",
+    "AttackConfig", "AttackResult", "BarrierConfig", "COLUMNS", "ConfigError",
+    "DataError", "KinematicPredictor", "PRESETS", "PredictorConfig", "Scenario",
+    "Trajectory", "aggregate", "compute_attack_row", "compute_baseline_row",
+    "dataset_accel_bounds", "generate_left_turn", "ingest_scenarios",
+    "read_rows_jsonl", "run_attack", "sample_left_turn_params", "write_rows_csv",
+    "write_rows_jsonl", "write_scenarios",
 ]

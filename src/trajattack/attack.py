@@ -18,8 +18,7 @@ per-component clamp.
 
 The gradient is a hand-written reverse-mode adjoint: the forward pass runs
 the array form of each layer (rollout, predictor, objective, barriers) and
-the backward pass runs their pullbacks in reverse order.  eval_loss is the
-same loss on the gradient tape; tests hold the adjoint against it.
+the backward pass runs their pullbacks in reverse order.
 """
 
 from __future__ import annotations
@@ -28,19 +27,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import (BarrierConfig, barrier_grad, barrier_traj, constraint_distances,
-                       observed_barrier)
-from .core import ConfigError, ControlSequence, Perturbation, Trajectory
-from .dynamics import (extract_controls, extract_xy, step_xy, unicycle_scan,
-                       unicycle_scan_pullback)
-from .gradtape import value
-from .objectives import (OBJECTIVES, ade_grad, ade_xy, collision_fn_grad, collision_fn_xy,
-                         collision_fp_grad, collision_fp_xy, compose_total_loss, fde_grad,
-                         fde_xy)
+from .barriers import BarrierConfig, barrier_grad, constraint_distances
+from .core import ConfigError, ControlSequence, Trajectory
+from .dynamics import extract_controls, unicycle_scan, unicycle_scan_pullback
+from .objectives import (OBJECTIVES, ade_grad, collision_fn_grad, collision_fp_grad,
+                         fde_grad)
 from .predictor import check_deterministic
-
-# Central-difference step for the gradient-free predictor fallback.
-FD_STEP = 1e-6
 
 # Step-size candidates checked per stacked feasibility call: the full step
 # and its first seven halvings.  On generated scenarios more than 99% of
@@ -129,12 +121,6 @@ def control_box(controls, cfg):
     return lo, hi, empty
 
 
-def project_box(controls, delta, cfg):
-    """Euclidean projection of a Perturbation onto the control box."""
-    lo, hi, _ = control_box(controls, cfg)
-    return Perturbation(np.clip(delta.delta, lo, hi))
-
-
 def dataset_accel_bounds(trajectories):
     """Lowest and highest acceleration recovered from a set of trajectories."""
     if not trajectories:
@@ -214,78 +200,39 @@ class AttackProblem:
         self.horizon_future = scenario.horizon_future
         tp = scenario.target_past
         tf = scenario.target_future
-        xs = np.concatenate([tp.points[:, 0], tf.points[:, 0]]).tolist()
-        ys = np.concatenate([tp.points[:, 1], tf.points[:, 1]]).tolist()
-        (x0, y0, th0, v0), accels, kappas, _ = extract_xy(xs, ys, self.dt)
-        self.s0 = (x0, y0, th0, v0)
+        s0, ref = extract_controls(Trajectory(np.vstack([tp.points, tf.points]), self.dt))
+        self.s0 = (s0.x, s0.y, s0.theta, s0.v)
         n_past = len(tp) - 1
-        self.u_ref = ControlSequence(
-            np.column_stack([accels[:n_past], kappas[:n_past]]), self.dt)
-        self.v_ref = ControlSequence(
-            np.column_stack([accels[n_past:], kappas[n_past:]]), self.dt)
+        self.u_ref = ControlSequence(ref.inputs[:n_past], self.dt)
+        self.v_ref = ControlSequence(ref.inputs[n_past:], self.dt)
         self.ego_pts = scenario.ego_future.points
         self.y_ref_pts = tf.points
-        joint = np.vstack([self.u_ref.inputs, self.v_ref.inputs])
-        seq = ControlSequence(joint, self.dt)
-        self.lo, self.hi, empty = control_box(seq, cfg)
+        self.lo, self.hi, empty = control_box(ref, cfg)
         self.empty_box_entries = int(empty.sum())
-        self.ref_controls = joint
+        self.ref_controls = ref.inputs
         # Barrier distances are measured against the re-rolled reference, not
         # the stored points.  The two agree to roundoff, but only the rolled
         # reference is bitwise equal to the delta = 0 rollout; that puts the
         # initial iterate exactly at the distance cone's apex, where the norm
         # gradient is the zero subgradient instead of roundoff-direction noise.
-        self.x_ref, self.y_ref = self.positions(np.zeros_like(joint))
+        self.x_ref, self.y_ref = self.positions(np.zeros_like(ref.inputs))
         self.max_halvings = cfg.max_halvings
         self.gamma = cfg.gamma
         self.pred_clean = check_deterministic(
             predictor, tp, scenario.ego_past, scenario.horizon_future)
-        self.clean_mean = self.pred_clean.samples.mean(axis=0)
+        # collision_fn pins the predictions at delta = 0, which is the rolled
+        # reference; with the loss's own forward and reduction the drift
+        # starts exactly at its apex.
+        (xs, ys), _ = predictor.predict_vjp(self.x_ref, self.dt, self.horizon_future)
+        k = xs.shape[1]
+        self.clean_mean = np.column_stack([xs.sum(axis=1) / k, ys.sum(axis=1) / k])
 
     @property
     def n_controls(self):
         return len(self.ref_controls)
 
-    def _roll_all(self, controls):
-        """Past and future position lists; entries may be floats or tape nodes."""
-        x, y, th, v = self.s0
-        pts = [(x, y)]
-        for a_t, k_t in controls:
-            x, y, th, v = step_xy(x, y, th, v, a_t, k_t, self.dt)
-            pts.append((x, y))
-        n_past = len(self.u_ref)
-        return pts[:n_past + 1], pts[n_past + 1:]
-
-    def eval_loss(self, flat):
-        """Total loss for a flat [a0, k0, a1, k1, ...] perturbation sequence."""
-        cfg = self.cfg
-        ref = self.ref_controls
-        controls = [(float(ref[i, 0]) + flat[2 * i], float(ref[i, 1]) + flat[2 * i + 1])
-                    for i in range(len(ref))]
-        past, fut = self._roll_all(controls)
-        pred_xy = self.predictor.predict_xy(
-            [p[0] for p in past], [p[1] for p in past], self.dt, self.horizon_future)
-        name = cfg.objective
-        if name == "ade":
-            objective = ade_xy(pred_xy, self.y_ref_pts)
-        elif name == "fde":
-            objective = fde_xy(pred_xy, self.y_ref_pts)
-        elif name == "collision_fp":
-            objective = collision_fp_xy(pred_xy, self.ego_pts)
-        elif name == "collision_fn":
-            objective = collision_fn_xy(fut, pred_xy, self.ego_pts, self.clean_mean)
-        else:
-            raise ConfigError(f"unknown objective {name!r}")
-        terms = [observed_barrier(cfg.barrier.observed_mode, past, self.x_ref,
-                                  cfg.barrier.d_max)]
-        if cfg.barrier.future_mode == "traj":
-            terms.append(barrier_traj(fut, self.y_ref, cfg.barrier.d_max))
-        return compose_total_loss(objective, terms)
-
     def loss_and_grad(self, delta):
         """Total loss at an (N, 2) perturbation and its gradient."""
-        if not self.predictor.supports_gradients:
-            return self._finite_diff_loss_and_grad(delta)
         cfg = self.cfg
         d_max = cfg.barrier.d_max
         n_past = len(self.u_ref)
@@ -320,20 +267,6 @@ class AttackProblem:
         *_, g_a, g_k = unicycle_scan_pullback(theta, v, controls[:, 1], self.dt,
                                               g_pts[:, 0], g_pts[:, 1])
         return float(loss), np.column_stack([g_a, g_k])
-
-    def _finite_diff_loss_and_grad(self, delta):
-        """Central differences of eval_loss, for predictors without gradients."""
-        flat = [float(v) for v in delta.ravel()]
-        loss = float(value(self.eval_loss(flat)))
-        g = np.empty(len(flat))
-        for i in range(len(flat)):
-            up = list(flat)
-            dn = list(flat)
-            up[i] += FD_STEP
-            dn[i] -= FD_STEP
-            g[i] = (float(value(self.eval_loss(up)))
-                    - float(value(self.eval_loss(dn)))) / (2.0 * FD_STEP)
-        return loss, g.reshape(delta.shape)
 
     def _points(self, delta):
         """Rolled positions (..., N + 1, 2) for perturbations (..., N, 2)."""

@@ -1,15 +1,20 @@
 """Soft trajectory constraints as log barriers.
 
 Two distance notions between a perturbed trajectory and its reference:
-d_time compares positions at matched time indices; d_traj is the distance
-to the reference polyline (minimum over its segments), which permits
-longitudinal sliding along the path.  A barrier term is -ln(d_max - d),
-finite only while d < d_max; reaching d_max is an infeasibility the
-optimizer must handle by shrinking its step.
+the time distance compares positions at matched time indices; the
+trajectory distance is the distance to the reference polyline (minimum
+over its segments), which permits longitudinal sliding along the path.
+A barrier term is -ln(d_max - d), finite only while d < d_max; reaching
+d_max is an infeasibility the optimizer must handle by shrinking its
+step.
 
-The time_traj observed form bounds the whole past by d_traj and addition-
-ally pins the prediction point (the last observed position) by d_time, so
-the target still reaches the turn entry on time.
+The time_traj observed form bounds the whole past by the trajectory
+distance and additionally pins the prediction point (the last observed
+position) by the time distance, so the target still reaches the turn
+entry on time.
+
+The step-size control (constraint_distances) and the attack's gradient
+(barrier_grad) read the same distance arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DataError, hypot_grad
-from .gradtape import absolute, log, norm2, reduce_min, sqrt, value, where
 
 OBSERVED_MODES = ("time", "time_traj")
 FUTURE_MODES = ("none", "traj")
@@ -48,101 +52,10 @@ class BarrierConfig:
                 f"future_mode {self.future_mode!r} not in {FUTURE_MODES}")
 
 
-def d_time(p_pert, p_ref):
-    """Displacement between a perturbed point and its reference at the same index."""
-    return norm2(p_pert[0] - p_ref[0], p_pert[1] - p_ref[1])
-
-
-def _segment_arrays(ref_pts):
-    ref = np.asarray(ref_pts, dtype=float)
-    if ref.ndim != 2 or ref.shape[1] != 2 or len(ref) < 2:
-        raise DataError("reference polyline needs shape (N>=2, 2)")
-    b = ref[:-1]
-    c = ref[1:]
-    ux = b[:, 0] - c[:, 0]
-    uy = b[:, 1] - c[:, 1]
-    seg2 = ux * ux + uy * uy
-    return b, c, ux, uy, seg2
-
-
-def _segment_distances(px, py, segs):
-    """Distances from one point to every reference segment at once.
-
-    px/py may be tape nodes; branch selection (projection parameter r
-    against [0, 1], degenerate segments) uses primal values, matching
-    the scalar point_segment_distance branch for branch.
-    """
-    b, c, ux, uy, seg2 = segs
-    safe2 = np.where(seg2 == 0.0, 1.0, seg2)
-    wx = px - c[:, 0]
-    wy = py - c[:, 1]
-    r = (wx * ux + wy * uy) / safe2
-    d_c = norm2(wx, wy)
-    d_b = norm2(px - b[:, 0], py - b[:, 1])
-    d_perp = absolute(wx * uy - wy * ux) / sqrt(safe2)
-    rv = value(r)
-    low = (rv <= 0.0) | (seg2 == 0.0)
-    return where(low, d_c, where(rv < 1.0, d_perp, d_b))
-
-
-def d_traj(p_pert, ref_pts):
-    """Distance from a point to the reference polyline (min over segments).
-
-    Ties between segments resolve to the lowest segment index.
-    """
-    return reduce_min(_segment_distances(p_pert[0], p_pert[1], _segment_arrays(ref_pts)))
-
-
-def barrier_point(d, d_max):
-    """-ln(d_max - d); raises InfeasibleError once d reaches d_max."""
-    if value(d) >= d_max:
-        raise InfeasibleError(f"constrained distance {value(d):.6g} >= d_max {d_max:.6g}")
-    return -log(d_max - d)
-
-
-def barrier_time(pert_pts, ref_pts, d_max):
-    """Mean matched-index barrier over all points of the trajectory."""
-    if len(pert_pts) != len(ref_pts):
-        raise DataError("barrier_time: trajectories differ in length")
-    total = 0.0
-    for p, ref in zip(pert_pts, ref_pts):
-        total = total + barrier_point(d_time(p, ref), d_max)
-    return total / len(pert_pts)
-
-
-def barrier_traj(pert_pts, ref_pts, d_max):
-    """Mean polyline-distance barrier over all points of the trajectory."""
-    segs = _segment_arrays(ref_pts)
-    total = 0.0
-    for p in pert_pts:
-        d = reduce_min(_segment_distances(p[0], p[1], segs))
-        total = total + barrier_point(d, d_max)
-    return total / len(pert_pts)
-
-
-def barrier_time_traj(pert_pts, ref_pts, d_max):
-    """Polyline barrier plus a matched-index barrier on the final point."""
-    if len(pert_pts) != len(ref_pts):
-        raise DataError("barrier_time_traj: trajectories differ in length")
-    pinned = barrier_point(d_time(pert_pts[-1], ref_pts[-1]), d_max)
-    return barrier_traj(pert_pts, ref_pts, d_max) + pinned
-
-
-def observed_barrier(mode, pert_pts, ref_pts, d_max):
-    if mode == "time":
-        return barrier_time(pert_pts, ref_pts, d_max)
-    if mode == "time_traj":
-        return barrier_time_traj(pert_pts, ref_pts, d_max)
-    raise ConfigError(f"unknown observed barrier mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# array constraint evaluation: the step-size control and the attack's
-# gradient read the same distance arrays
-
-
 def _matched_distances(pts, ref):
     """Displacement of each point from its reference point; (offsets, (..., N))."""
+    if pts.shape[-2] != len(ref):
+        raise DataError("matched distances: trajectories differ in length")
     off = pts - ref
     return off, np.hypot(off[..., 0], off[..., 1])
 
@@ -159,7 +72,11 @@ def _segment_table(points, ref):
     """
     pts = np.asarray(points, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    _, _, ux, uy, seg2 = _segment_arrays(ref)
+    if ref.ndim != 2 or ref.shape[1] != 2 or len(ref) < 2:
+        raise DataError("reference polyline needs shape (N>=2, 2)")
+    ux = ref[:-1, 0] - ref[1:, 0]
+    uy = ref[:-1, 1] - ref[1:, 1]
+    seg2 = ux * ux + uy * uy
     safe2 = np.where(seg2 == 0.0, 1.0, seg2)
     seg = np.sqrt(safe2)
     ox = pts[..., 0:1] - ref[:, 0]

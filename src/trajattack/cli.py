@@ -30,7 +30,7 @@ from .core import ConfigError, DataError, Trajectory
 from .metrics import (COLUMNS, aggregate, compute_attack_row,
                       compute_baseline_row, read_rows_jsonl, write_rows_csv,
                       write_rows_jsonl)
-from .predictor import REGISTRY, PredictorConfig, get_predictor
+from .predictor import KinematicPredictor, PredictorConfig
 from .scenario_io import (PRESETS, generate_left_turn, ingest_scenarios,
                           sample_left_turn_params, write_scenarios)
 
@@ -95,9 +95,9 @@ def cmd_generate(args):
     return 0
 
 
-def _attack_rows(scenario, grid, base, d_max, predictor_name):
+def _attack_rows(scenario, grid, base, d_max):
     """All metric rows (baseline first) for one scenario; runs in workers."""
-    predictor = get_predictor(predictor_name, PredictorConfig(seed=base["seed"]))
+    predictor = KinematicPredictor(PredictorConfig(seed=base["seed"]))
     rows = []
     baseline = None
     for objective, obs, fut in grid:
@@ -218,7 +218,7 @@ def cmd_attack(args):
                                   barrier_cfg.get("observed_mode"), "time")),
                  _pick(args.future, barrier_cfg.get("future_mode"), "none")),)
 
-    jobs = [(s, grid, base, d_max, args.predictor) for s in scenarios]
+    jobs = [(s, grid, base, d_max) for s in scenarios]
     if args.parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
             per_scenario = list(pool.map(_attack_rows_job, jobs))
@@ -232,7 +232,7 @@ def cmd_attack(args):
     write_rows_csv(csv_path, rows)
     manifest = _write_manifest(args.out, {
         "command": "attack", "scenarios": args.scenarios,
-        "predictor": args.predictor, "config_file": args.config,
+        "config_file": args.config,
         "grid": [list(g) for g in grid], "attack_config": base,
         "d_max": d_max, "accel_bounds_source": bounds_source,
         "parallel": args.parallel, "n_scenarios": len(scenarios),
@@ -243,8 +243,7 @@ def cmd_attack(args):
 
 
 def _attack_rows_job(job):
-    scenario, grid, base, d_max, predictor_name = job
-    return _attack_rows(scenario, grid, base, d_max, predictor_name)
+    return _attack_rows(*job)
 
 
 def _format_table(dicts):
@@ -325,7 +324,6 @@ def build_parser():
     att = sub.add_parser("attack", help="run the attack grid over a scenario file")
     att.add_argument("--scenarios", required=True)
     att.add_argument("--out", required=True, help="output prefix")
-    att.add_argument("--predictor", choices=sorted(REGISTRY), default="kinematic")
     att.add_argument("--grid", action="store_true",
                      help="run the full objective/constraint grid (the default)")
     att.add_argument("--objective", choices=("ade", "fde", "collision_fp",

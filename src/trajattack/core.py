@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradtape import absolute, norm2, sqrt, value
-
 TAU = 2.0 * math.pi
 
 
@@ -252,72 +250,19 @@ def hypot_grad(dx, dy, n):
     """Gradient of n = hypot(dx, dy) with respect to (dx, dy), as arrays.
 
     n == 0 only where dx == dy == 0; there the result is the zero
-    subgradient, as the tape's norm2 defines it.
+    subgradient.
     """
     safe = np.where(n == 0.0, 1.0, n)
     return dx / safe, dy / safe
 
 
-def point_segment_distance(a, b, c):
-    """Distance from point a to the closed segment spanned by b and c.
-
-    The projection parameter r = ((a-c).(b-c)) / |b-c|^2 selects the branch:
-    r <= 0 gives |a-c|, 0 < r < 1 the perpendicular distance, and r >= 1
-    |a-b|.  Coordinates may be plain floats or tape nodes; the branch is
-    chosen from primal values, so the result differentiates through the
-    active branch only.  A degenerate segment (b == c) reduces to |a-c|.
-    """
-    ux = b[0] - c[0]
-    uy = b[1] - c[1]
-    wx = a[0] - c[0]
-    wy = a[1] - c[1]
-    seg2 = ux * ux + uy * uy
-    if value(seg2) == 0.0:
-        return norm2(wx, wy)
-    r = (wx * ux + wy * uy) / seg2
-    rv = value(r)
-    if rv <= 0.0:
-        return norm2(wx, wy)
-    if rv < 1.0:
-        cross = wx * uy - wy * ux
-        return absolute(cross) / sqrt(seg2)
-    return norm2(a[0] - b[0], a[1] - b[1])
-
-
-def oriented_box_overlap(center1, heading1, center2, heading2, length, width):
-    """1 if two oriented boxes of the given footprint overlap, else 0.
-
-    Separating-axis test over the four face normals.  Boxes are closed
-    sets: touching boundaries count as overlap.
-    """
-    hl = 0.5 * length
-    hw = 0.5 * width
-    dxw = center2[0] - center1[0]
-    dyw = center2[1] - center1[1]
-    c1 = math.cos(heading1)
-    s1 = math.sin(heading1)
-    c2 = math.cos(heading2)
-    s2 = math.sin(heading2)
-    # center offset in each box frame
-    dx1 = dxw * c1 + dyw * s1
-    dy1 = -dxw * s1 + dyw * c1
-    dx2 = dxw * c2 + dyw * s2
-    dy2 = -dxw * s2 + dyw * c2
-    cd = abs(c1 * c2 + s1 * s2)   # |cos(h1 - h2)|
-    sd = abs(s1 * c2 - c1 * s2)   # |sin(h1 - h2)|
-    if abs(dx1) > hl + hl * cd + hw * sd:
-        return 0
-    if abs(dy1) > hw + hl * sd + hw * cd:
-        return 0
-    if abs(dx2) > hl + hl * cd + hw * sd:
-        return 0
-    if abs(dy2) > hw + hl * sd + hw * cd:
-        return 0
-    return 1
-
-
 def box_overlap_mask(centers1, headings1, centers2, headings2, length, width):
-    """Vectorized oriented_box_overlap over N box pairs; returns bool (N,)."""
+    """Whether oriented boxes of one footprint overlap, per box pair.
+
+    centers (..., 2) and headings (...) describe the pairs; returns a bool
+    array of the leading shape.  Separating-axis test over the four face
+    normals.  Boxes are closed sets: touching boundaries count as overlap.
+    """
     c1 = np.cos(headings1)
     s1 = np.sin(headings1)
     c2 = np.cos(headings2)

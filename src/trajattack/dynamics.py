@@ -12,10 +12,10 @@ identically zero; position roundtrips are exact regardless.  Speed keeps
 its sign through reversals: a displacement pointing against the current
 heading flips the speed sign rather than the heading.
 
-The *_xy functions operate on raw coordinates that may be plain floats or
-gradtape nodes; the typed API wraps them for float use.  unicycle_scan and
-inverse_states are the array forms the attack's gradient runs on; each has
-its reverse-mode derivative (pullback) beside it.
+Both directions run on arrays: unicycle_scan is the forward model and
+inverse_states the inverse, and each has its reverse-mode derivative
+(pullback) beside it for the attack's gradient.  rollout and
+extract_controls are the same computations on the typed containers.
 """
 
 from __future__ import annotations
@@ -24,119 +24,13 @@ import math
 
 import numpy as np
 
-from .core import (AgentState, ControlSequence, DataError, Trajectory, hypot_grad,
-                   wrap_angle)
-from .gradtape import Var, atan2, cos, norm2, sin, value
+from .core import AgentState, ControlSequence, DataError, Trajectory, hypot_grad, wrap_angle
 
 # Speed dead-band (m/s) below which curvature extraction returns 0 instead
 # of dividing by a vanishing speed.
 V_EPS = 1e-6
 
 _HALF_PI = 0.5 * math.pi
-
-
-def _wrap(x):
-    """Wrap an angle (possibly a tape node) to (-pi, pi]; gradient is identity."""
-    if isinstance(x, Var):
-        return Var(wrap_angle(x.value), ((x, 1.0),))
-    return wrap_angle(x)
-
-
-def step_xy(x, y, theta, v, a, kappa, dt):
-    """One forward model step on raw coordinates; returns (x', y', theta', v')."""
-    v1 = v + a * dt
-    th1 = theta + v * kappa * dt
-    x1 = x + v1 * cos(th1) * dt
-    y1 = y + v1 * sin(th1) * dt
-    return x1, y1, th1, v1
-
-
-def phi_forward(s, u, dt):
-    """Advance an AgentState by one control input.
-
-    The direction flag becomes sign(v'); an exactly zero speed keeps the
-    incoming flag.
-    """
-    x1, y1, th1, v1 = step_xy(s.x, s.y, s.theta, s.v, u.a, u.kappa, dt)
-    if v1 > 0.0:
-        d1 = 1
-    elif v1 < 0.0:
-        d1 = -1
-    else:
-        d1 = s.direction
-    return AgentState(x1, y1, th1, v1, d1)
-
-
-def extract_initial_state(p0, p1, dt):
-    """State at the first trajectory point, from the first displacement.
-
-    Speed and heading assume constant motion over the first two steps;
-    coincident points give v = 0, theta = 0.  Direction starts at +1.
-    """
-    vx = (p1[0] - p0[0]) / dt
-    vy = (p1[1] - p0[1]) / dt
-    if vx == 0.0 and vy == 0.0:
-        return AgentState(p0[0], p0[1], 0.0, 0.0, 1)
-    return AgentState(p0[0], p0[1], math.atan2(vy, vx), math.hypot(vx, vy), 1)
-
-
-def direction_of_travel(vx, vy, s):
-    """Direction flag for the step with observed velocity (vx, vy) from state s.
-
-    +1 when the displacement is within a quarter turn of the current
-    heading, else -1.  The flag is absolute, not relative to the previous
-    speed sign; a sustained reversal keeps the flag at -1 step after step,
-    which keeps the extracted heading continuous and the extracted
-    curvature bounded.  Zero velocity returns sign(v), with sign(0) = +.
-    """
-    if vx == 0.0 and vy == 0.0:
-        return 1 if s.v >= 0.0 else -1
-    diff = wrap_angle(math.atan2(vy, vx) - s.theta)
-    return 1 if abs(diff) <= _HALF_PI else -1
-
-
-def extract_xy(xs, ys, dt):
-    """Inverse model over raw coordinate sequences (floats or tape nodes).
-
-    Returns (initial state tuple, accelerations, curvatures, terminal state
-    tuple); state tuples are (x, y, theta, v).  Branch decisions (direction
-    of travel, dead-bands, angle wrapping) follow primal values.
-    """
-    n = len(xs)
-    if n < 2:
-        raise DataError("extraction needs at least 2 points")
-    vx0 = (xs[1] - xs[0]) / dt
-    vy0 = (ys[1] - ys[0]) / dt
-    if value(vx0) == 0.0 and value(vy0) == 0.0:
-        v = 0.0
-        th = 0.0
-    else:
-        v = norm2(vx0, vy0)
-        th = atan2(vy0, vx0)
-    state0 = (xs[0], ys[0], th, v)
-    accels = []
-    kappas = []
-    for t in range(n - 1):
-        vx = (xs[t + 1] - xs[t]) / dt
-        vy = (ys[t + 1] - ys[t]) / dt
-        if value(vx) == 0.0 and value(vy) == 0.0:
-            v_next = 0.0
-            th_next = th  # stationary: heading carries over
-        else:
-            ahead = abs(wrap_angle(math.atan2(value(vy), value(vx)) - value(th))) <= _HALF_PI
-            d = 1.0 if ahead else -1.0
-            v_next = norm2(vx, vy) * d
-            th_next = atan2(vy * d, vx * d)
-        a_t = (v_next - v) / dt
-        if abs(value(v)) < V_EPS:
-            k_t = 0.0
-        else:
-            k_t = _wrap(th_next - th) / (v * dt)
-        accels.append(a_t)
-        kappas.append(k_t)
-        v = v_next
-        th = th_next
-    return state0, accels, kappas, (xs[-1], ys[-1], th, v)
 
 
 def extract_controls(traj):
@@ -146,53 +40,19 @@ def extract_controls(traj):
     rollout(state, controls) recovers the input positions exactly up to
     floating-point roundoff.
     """
-    xs = traj.points[:, 0].tolist()
-    ys = traj.points[:, 1].tolist()
-    (x0, y0, th0, v0), accels, kappas, _ = extract_xy(xs, ys, traj.dt)
-    s0 = AgentState(x0, y0, th0, v0, 1)
-    seq = ControlSequence(np.column_stack([accels, kappas]), traj.dt)
-    return s0, seq
-
-
-def rollout_xy(x, y, theta, v, accels, kappas, dt):
-    """Iterate step_xy; returns the list of generated (x, y) pairs."""
-    out = []
-    for a_t, k_t in zip(accels, kappas):
-        x, y, theta, v = step_xy(x, y, theta, v, a_t, k_t, dt)
-        out.append((x, y))
-    return out
+    xs = traj.points[:, 0]
+    ys = traj.points[:, 1]
+    theta, v, *_ = inverse_states(xs, ys, traj.dt)
+    accels, kappas = state_controls(theta, v, traj.dt)
+    s0 = AgentState(float(xs[0]), float(ys[0]), float(theta[0]), float(v[0]), 1)
+    return s0, ControlSequence(np.column_stack([accels, kappas]), traj.dt)
 
 
 def rollout(s0, controls, t0_index=0):
     """Forward-simulate a control sequence; the result includes the start point."""
-    pts = [(s0.x, s0.y)]
-    pts.extend(rollout_xy(s0.x, s0.y, s0.theta, s0.v,
-                          controls.a.tolist(), controls.kappa.tolist(), controls.dt))
-    return Trajectory(np.array(pts, dtype=float), controls.dt, t0_index)
-
-
-def joint_rollout(s0, u_past, v_future):
-    """Roll the past controls, then the future controls from the reached state.
-
-    Returns (X, Y): X has len(u_past) + 1 points at time indices
-    -len(u_past)..0, Y has len(v_future) points at indices 1..T.  Future
-    controls never influence X.
-    """
-    if u_past.dt != v_future.dt:
-        raise DataError("joint_rollout: control sequences disagree on dt")
-    dt = u_past.dt
-    x, y, th, v = s0.x, s0.y, s0.theta, s0.v
-    past_pts = [(x, y)]
-    for a_t, k_t in zip(u_past.a.tolist(), u_past.kappa.tolist()):
-        x, y, th, v = step_xy(x, y, th, v, a_t, k_t, dt)
-        past_pts.append((x, y))
-    fut_pts = []
-    for a_t, k_t in zip(v_future.a.tolist(), v_future.kappa.tolist()):
-        x, y, th, v = step_xy(x, y, th, v, a_t, k_t, dt)
-        fut_pts.append((x, y))
-    X = Trajectory(np.array(past_pts, dtype=float), dt, t0_index=-len(u_past))
-    Y = Trajectory(np.array(fut_pts, dtype=float), dt, t0_index=1)
-    return X, Y
+    x, y, _, _ = unicycle_scan(s0.x, s0.y, s0.theta, s0.v, controls.a, controls.kappa,
+                               controls.dt)
+    return Trajectory(np.column_stack([x, y]), controls.dt, t0_index)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +65,13 @@ def _suffix_sum(a):
 
 
 def unicycle_scan(x0, y0, theta0, v0, accels, kappas, dt):
-    """Iterate step_xy over the leading axis of (accels, kappas).
+    """The forward model over the leading axis of (accels, kappas).
 
     accels and kappas share one shape (N, ...); the scalar start state
     applies to every trailing entry.  Returns x, y, theta, v of shape
     (N + 1, ...) with the start state in row 0.  Every running sum is a
-    cumulative sum in step order over the same products step_xy forms,
-    so the rows are bitwise equal to the scalar loop.
+    cumulative sum in step order, so each row is bitwise the state that
+    stepping the model one control at a time reaches.
     """
     first = (1,) + accels.shape[1:]
     v = np.cumsum(np.concatenate([np.full(first, v0), accels * dt]), axis=0)
@@ -248,21 +108,21 @@ def unicycle_scan_pullback(theta, v, kappas, dt, gx, gy):
 
 
 def inverse_states(xs, ys, dt):
-    """Heading and signed speed at every point, the states extract_xy passes.
+    """Heading and signed speed at every point of a position sequence.
 
     Returns (theta, v, vx, vy, sign): theta and v have one entry per point;
     vx, vy are the step velocities and sign the direction of travel per
-    step (0 for a stationary step, whose heading carries over).  The
-    arithmetic mirrors extract_xy on tape nodes, which divide by a constant
-    as a product with its reciprocal, so the states are bitwise equal to
-    the ones the tape records.
+    step (0 for a stationary step, whose heading carries over).  The start
+    state reads the first step.  A step is forward when it lies within a
+    quarter turn of the current heading; otherwise the speed turns negative
+    and the heading stays on the vehicle's axis, so a reversal never
+    inflates the extracted curvature.
     """
     n = len(xs)
     if n < 2:
         raise DataError("extraction needs at least 2 points")
-    inv_dt = 1.0 / dt
-    vx = (xs[1:] - xs[:-1]) * inv_dt
-    vy = (ys[1:] - ys[:-1]) * inv_dt
+    vx = (xs[1:] - xs[:-1]) / dt
+    vy = (ys[1:] - ys[:-1]) / dt
     vxl = vx.tolist()
     vyl = vy.tolist()
     theta = np.empty(n)
@@ -287,6 +147,19 @@ def inverse_states(xs, ys, dt):
         theta[t + 1] = th
         v[t + 1] = sp
     return theta, v, vx, vy, sign
+
+
+def state_controls(theta, v, dt):
+    """Controls between consecutive states: a = dv / dt, kappa = dtheta / (v dt).
+
+    The heading change is wrapped to (-pi, pi]; below the V_EPS speed
+    dead-band the curvature is 0.  Returns (accels, kappas), one entry per
+    step.
+    """
+    accels = (v[1:] - v[:-1]) / dt
+    turn = np.array([wrap_angle(d) for d in (theta[1:] - theta[:-1]).tolist()])
+    moving = np.abs(v[:-1]) >= V_EPS
+    return accels, np.divide(turn, v[:-1] * dt, out=np.zeros_like(accels), where=moving)
 
 
 def inverse_states_pullback(vx, vy, sign, dt, g_theta, g_v):

@@ -46,41 +46,25 @@ def metric_fde(pred, y_tar):
 
 
 def _headings(points, prev_point=None):
-    """Finite-difference headings per point of one (T, 2) position sequence."""
+    """Finite-difference headings of position sequences (..., T, 2); (..., T).
+
+    The first step runs from prev_point when given, else along the first
+    segment; a stationary step keeps the previous heading.
+    """
     pts = np.asarray(points, dtype=float)
     d = np.empty_like(pts)
     if prev_point is not None:
-        d[0] = pts[0] - np.asarray(prev_point, dtype=float)
-    elif len(pts) > 1:
-        d[0] = pts[1] - pts[0]
+        d[..., 0, :] = pts[..., 0, :] - np.asarray(prev_point, dtype=float)
+    elif pts.shape[-2] > 1:
+        d[..., 0, :] = pts[..., 1, :] - pts[..., 0, :]
     else:
-        d[0] = (1.0, 0.0)
-    d[1:] = pts[1:] - pts[:-1]
-    head = np.arctan2(d[:, 1], d[:, 0])
-    still = (d[:, 0] == 0.0) & (d[:, 1] == 0.0)
-    if still.any():
-        for t in range(len(pts)):  # stationary step keeps the previous heading
-            if still[t] and t > 0:
-                head[t] = head[t - 1]
-    return head
-
-
-def _sample_headings(samples, prev_point=None):
-    """Headings for every sample of a (K, T, 2) array; returns (K, T)."""
-    d = np.empty_like(samples)
-    if prev_point is not None:
-        d[:, 0] = samples[:, 0] - np.asarray(prev_point, dtype=float)
-    elif samples.shape[1] > 1:
-        d[:, 0] = samples[:, 1] - samples[:, 0]
-    else:
-        d[:, 0] = (1.0, 0.0)
-    d[:, 1:] = samples[:, 1:] - samples[:, :-1]
+        d[..., 0, :] = (1.0, 0.0)
+    d[..., 1:, :] = pts[..., 1:, :] - pts[..., :-1, :]
     head = np.arctan2(d[..., 1], d[..., 0])
     still = (d[..., 0] == 0.0) & (d[..., 1] == 0.0)
     if still.any():
-        for k, t in zip(*np.nonzero(still)):
-            if t > 0:
-                head[k, t] = head[k, t - 1]
+        for t in range(1, head.shape[-1]):
+            head[..., t] = np.where(still[..., t], head[..., t - 1], head[..., t])
     return head
 
 
@@ -93,7 +77,7 @@ def metric_cr_pred(pred, y_ego, length, width, target_prev=None, ego_prev=None):
     if pred.horizon != len(y_ego):
         raise DataError("metric_cr_pred: horizon mismatch")
     k, t = pred.samples.shape[:2]
-    sample_head = _sample_headings(pred.samples, target_prev)
+    sample_head = _headings(pred.samples, target_prev)
     ego_head = _headings(y_ego.points, ego_prev)
     ego_centers = np.broadcast_to(y_ego.points, (k, t, 2))
     ego_heads = np.broadcast_to(ego_head, (k, t))

@@ -1,14 +1,14 @@
-"""Trajectory predictors and their registry.
+"""The sampling kinematic predictor that the attack differentiates.
 
-The built-in surrogate is a sampling-based kinematic extrapolator: it
-inverts the observed past to controls, estimates a nominal (a, kappa)
-as the mean over the last few control steps, perturbs that nominal with
-K fixed Gaussian offsets (clipped at three sigma, so sampled controls
-stay dynamically plausible), and rolls each sample forward from the
-state at the prediction point.  The offsets are constants of the
-computation, so gradients flow through the observed positions only and
-the prediction is differentiable end to end: predict_xy records on the
-gradient tape, predict_vjp pairs the array forward with its pullback.
+The surrogate is a sampling-based kinematic extrapolator: it inverts the
+observed past to controls, estimates a nominal (a, kappa) as the mean
+over the last few control steps, perturbs that nominal with K fixed
+Gaussian offsets (clipped at three sigma, so sampled controls stay
+dynamically plausible), and rolls each sample forward from the state at
+the prediction point.  The offsets are constants of the computation, so
+the samples are a differentiable function of the observed positions:
+predict_vjp returns them with their pullback, and predict is its forward
+half on the typed containers.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, DataError, PredictionSet, PredictorError, Trajectory,
-                   wrap_angle)
-from .dynamics import (V_EPS, extract_xy, inverse_states, inverse_states_pullback,
-                       step_xy, unicycle_scan, unicycle_scan_pullback)
+from .core import ConfigError, DataError, PredictionSet, PredictorError
+from .dynamics import (V_EPS, inverse_states, inverse_states_pullback, state_controls,
+                       unicycle_scan, unicycle_scan_pullback)
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class KinematicPredictor:
     """Constant-control extrapolation with sampled control offsets."""
 
     name = "kinematic"
-    supports_gradients = True
 
     def __init__(self, config=None):
         self.config = config or PredictorConfig()
@@ -63,42 +61,14 @@ class KinematicPredictor:
         self._offset_a.setflags(write=False)
         self._offset_kappa.setflags(write=False)
 
-    def predict_xy(self, xs, ys, dt, horizon):
-        """Sampled future positions from raw past coordinates.
-
-        Coordinates may be floats or tape nodes.  Returns a list of
-        (x, y) pairs per future step, each holding all K samples.
-        """
-        if horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {horizon}")
-        if len(xs) < 3:
-            raise DataError("prediction needs at least 3 past points")
-        _, accels, kappas, (x, y, th, v) = extract_xy(xs, ys, dt)
-        w = min(self.config.smoothing_window, len(accels))
-        a_star = accels[-w]
-        k_star = kappas[-w]
-        for i in range(len(accels) - w + 1, len(accels)):
-            a_star = a_star + accels[i]
-            k_star = k_star + kappas[i]
-        a_star = a_star / w
-        k_star = k_star / w
-        a_k = a_star + self._offset_a       # (K,)
-        k_k = k_star + self._offset_kappa   # (K,)
-        out = []
-        for _ in range(horizon):
-            x, y, th, v = step_xy(x, y, th, v, a_k, k_k, dt)
-            out.append((x, y))
-        return out
-
     def predict_vjp(self, past, dt, horizon):
-        """predict_xy on an (H, 2) float array, with its pullback.
+        """Sampled future positions from an (H, 2) past, with their pullback.
 
         Returns ((xs, ys), pullback): xs and ys are (horizon, K) sample
-        coordinates, bitwise equal to what predict_xy records on the tape
-        for the same past, and pullback(g_xs, g_ys) returns the (H, 2)
-        adjoint of the past.  Only the last smoothing_window controls and
-        the terminal state enter the samples, so the adjoint is nonzero on
-        the last few past points only.
+        coordinates, and pullback(g_xs, g_ys) returns the (H, 2) adjoint of
+        the past.  Only the last smoothing_window controls and the terminal
+        state enter the samples, so the adjoint is nonzero on the last few
+        past points only.
         """
         if horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {horizon}")
@@ -108,15 +78,10 @@ class KinematicPredictor:
         m = len(past) - 1
         w = min(self.config.smoothing_window, m)
         lo = m - w
-        # Tape nodes divide by a constant as a product with its reciprocal,
-        # and the nominal control sums the window in index order.
-        accels = (v[lo + 1:] - v[lo:m]) * (1.0 / dt)
-        k_scale = np.divide(1.0, v[lo:m] * dt, out=np.zeros(w),
-                            where=np.abs(v[lo:m]) >= V_EPS)
-        kappas = np.array([wrap_angle(d) for d in (theta[lo + 1:] - theta[lo:m]).tolist()])
-        kappas = kappas * k_scale
-        a_k = np.cumsum(accels)[-1] * (1.0 / w) + self._offset_a
-        k_k = np.cumsum(kappas)[-1] * (1.0 / w) + self._offset_kappa
+        # the nominal control sums the window in step order
+        accels, kappas = state_controls(theta[lo:], v[lo:], dt)
+        a_k = np.cumsum(accels)[-1] / w + self._offset_a
+        k_k = np.cumsum(kappas)[-1] / w + self._offset_kappa
         shape = (horizon, len(a_k))
         k_steps = np.broadcast_to(k_k, shape)
         x, y, th, sp = unicycle_scan(past[-1, 0], past[-1, 1], theta[-1], v[-1],
@@ -127,14 +92,16 @@ class KinematicPredictor:
             g_x0, g_y0, g_th0, g_v0, g_a, g_k = unicycle_scan_pullback(
                 th, sp, k_steps, dt, np.concatenate([top, g_xs]),
                 np.concatenate([top, g_ys]))
-            g_a_t = g_a.sum() * (1.0 / w)     # adjoint of each window control
-            g_k_t = g_k.sum() * (1.0 / w)
+            g_a_t = g_a.sum() / w     # adjoint of each window control
+            g_k_t = g_k.sum() / w
+            k_scale = np.divide(1.0, v[lo:m] * dt, out=np.zeros(w),
+                                where=np.abs(v[lo:m]) >= V_EPS)
             g_theta = np.zeros(m + 1)
             g_v = np.zeros(m + 1)
             g_theta[-1] = g_th0.sum()
             g_v[-1] = g_v0.sum()
-            g_v[lo + 1:] += g_a_t * (1.0 / dt)
-            g_v[lo:m] -= g_a_t * (1.0 / dt)
+            g_v[lo + 1:] += g_a_t / dt
+            g_v[lo:m] -= g_a_t / dt
             g_theta[lo + 1:] += g_k_t * k_scale
             g_theta[lo:m] -= g_k_t * k_scale
             g_v[lo:m] -= g_k_t * kappas * k_scale * dt
@@ -153,48 +120,8 @@ class KinematicPredictor:
         identical samples.
         """
         del past_ego
-        steps = self.predict_xy(past_target.points[:, 0].tolist(),
-                                past_target.points[:, 1].tolist(),
-                                past_target.dt, horizon)
-        k = self.config.n_samples
-        samples = np.empty((k, horizon, 2))
-        for t, (x, y) in enumerate(steps):
-            samples[:, t, 0] = x
-            samples[:, t, 1] = y
-        return PredictionSet(samples, past_target.dt)
-
-
-class FiniteDiffKinematicPredictor(KinematicPredictor):
-    """The same surrogate exposed without gradient support.
-
-    Attacks that receive it fall back to finite-difference gradients of
-    the whole loss; exists to exercise and test that fallback.
-    """
-
-    name = "kinematic-fd"
-    supports_gradients = False
-
-    def predict_xy(self, xs, ys, dt, horizon):
-        for c in xs:
-            if not isinstance(c, float):
-                raise PredictorError(f"{self.name} cannot record gradients")
-        return super().predict_xy(xs, ys, dt, horizon)
-
-
-REGISTRY = {
-    KinematicPredictor.name: KinematicPredictor,
-    FiniteDiffKinematicPredictor.name: FiniteDiffKinematicPredictor,
-}
-
-
-def get_predictor(name, config=None):
-    """Instantiate a registered predictor by name."""
-    try:
-        cls = REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown predictor {name!r}; registered: {sorted(REGISTRY)}") from None
-    return cls(config)
+        (xs, ys), _ = self.predict_vjp(past_target.points, past_target.dt, horizon)
+        return PredictionSet(np.stack([xs.T, ys.T], axis=-1), past_target.dt)
 
 
 def check_deterministic(predictor, past_target, past_ego, horizon):
@@ -205,7 +132,3 @@ def check_deterministic(predictor, past_target, past_ego, horizon):
         raise PredictorError(f"predictor {predictor.name!r} is not deterministic")
     return first
 
-
-def predict_mean(pred):
-    """Pointwise mean trajectory of a prediction set (future indices 1..T)."""
-    return Trajectory(pred.samples.mean(axis=0), pred.dt, t0_index=1)

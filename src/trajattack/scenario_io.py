@@ -1,4 +1,4 @@
-"""Synthetic left-turn scenarios, smoothing, selection, and file I/O.
+"""Synthetic left-turn scenarios and scenario file I/O.
 
 Geometry of a generated scenario: a four-way intersection at the origin
 with lane centers 1.75 m from the road axis.  The target drives north in
@@ -191,64 +191,6 @@ def generate_left_turn(params, seed=0):
 
     ego = _constant_ego(p, y_cross + p.v_ego * (tau_cross + p.gap_s), n)
     return _split((tgt, ego), p, scenario_id)
-
-
-def select_prediction_point(target_episode, ego_episode, intersection,
-                            b_max=6.0, H=12, T=12, scenario_id=""):
-    """Slice an episode at the braking-limit point of the ego approach.
-
-    Picks the time index where the ego's distance to the intersection is
-    closest to its stopping distance v^2 / (2 b_max), restricted to indices
-    where the ego is still closing in and a full H-past/T-future window
-    fits.  Ties resolve to the earlier index.
-    """
-    if b_max <= 0.0:
-        raise ConfigError(f"b_max must be positive, got {b_max}")
-    if len(target_episode) != len(ego_episode):
-        raise DataError("episodes differ in length")
-    if target_episode.dt != ego_episode.dt:
-        raise DataError("episodes differ in dt")
-    n = len(ego_episode)
-    pts = ego_episode.points
-    dt = ego_episode.dt
-    speeds = np.linalg.norm(np.diff(pts, axis=0), axis=1) / dt
-    dist = np.linalg.norm(pts - np.asarray(intersection, dtype=float), axis=1)
-    lo, hi = H - 1, n - T  # valid prediction indices, hi exclusive
-    if lo + 1 > hi:
-        raise DataError(f"episode of {n} points too short for H={H}, T={T}")
-    best = None
-    for t in range(max(lo, 1), hi):
-        if dist[t] >= dist[t - 1]:
-            continue  # ego not approaching (or already past) the intersection
-        score = abs(dist[t] - speeds[t - 1] ** 2 / (2.0 * b_max))
-        if best is None or score < best[0]:
-            best = (score, t)
-    if best is None:
-        raise DataError("no valid prediction point: ego never approaches the "
-                        "intersection with a full window")
-    t = best[1]
-    params = LeftTurnParams(0.0, 0.0, math.inf, 0.0, H=H, T=T, dt=dt)
-    return _split((target_episode.points[t - H + 1:t + 1 + T],
-                   ego_episode.points[t - H + 1:t + 1 + T]), params, scenario_id)
-
-
-def smooth_savitzky_golay(traj, window=7, poly_order=3):
-    """Least-squares polynomial smoothing per coordinate.
-
-    Boundary windows are handled by polynomial fit extension, which keeps
-    the filter exact on polynomial inputs of degree <= poly_order.
-    """
-    if window % 2 == 0 or window <= poly_order or poly_order < 0:
-        raise ConfigError(
-            f"need odd window > poly_order >= 0, got window={window}, "
-            f"poly_order={poly_order}")
-    if window > len(traj):
-        raise ConfigError(f"window {window} exceeds trajectory length {len(traj)}")
-    # scipy.signal costs most of the package's import time and only this
-    # function needs it
-    from scipy.signal import savgol_filter
-    smoothed = savgol_filter(traj.points, window, poly_order, axis=0, mode="interp")
-    return Trajectory(smoothed, traj.dt, traj.t0_index)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def segment_distance_bruteforce(a, b, c, n0=257, rounds=12, m=65):
 def central_difference_error(g, f, x0, h=1e-5):
     """Worst disagreement of gradient g with central differences of f at x0.
 
-    The metric of gradtape.finite_diff_check: the maximum over coordinates
+    The metric of tape_reference.finite_diff_check: the maximum over coordinates
     of |g_i - fd_i| / max(1, |fd_i|), with fd_i = (f(x0 + h e_i) - f(x0 - h e_i)) / 2h.
     f takes a list of floats and returns a number.
     """

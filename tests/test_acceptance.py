@@ -15,13 +15,12 @@ import pytest
 
 from oracles import (box_overlap_oracle, central_difference_error,
                      segment_distance_bruteforce)
+from tape_reference import finite_diff_check, reference_loss
 from trajattack.attack import AttackConfig, AttackProblem
-from trajattack.barriers import BarrierConfig, constraint_distances
+from trajattack.barriers import BarrierConfig, _segment_table, constraint_distances
 from trajattack.cli import main
-from trajattack.core import (AgentState, ControlSequence, Trajectory,
-                             oriented_box_overlap, point_segment_distance)
+from trajattack.core import AgentState, ControlSequence, Trajectory, box_overlap_mask
 from trajattack.dynamics import extract_controls, rollout
-from trajattack.gradtape import finite_diff_check
 from trajattack.metrics import metric_cr_fnc
 from trajattack.predictor import KinematicPredictor, PredictorConfig
 from trajattack.scenario_io import (generate_left_turn, ingest_scenarios,
@@ -108,13 +107,10 @@ BARRIER_FORMS = (("time", "none"), ("time_traj", "none"), ("time", "traj"))
 
 def _segment_gap(points, ref):
     """Margin between best and second-best segment for each probe point."""
-    gaps = []
-    for p in points:
-        d = sorted(point_segment_distance(p, ref[i + 1], ref[i])
-                   for i in range(len(ref) - 1))
-        if len(d) > 1:
-            gaps.append(d[1] - d[0])
-    return min(gaps) if gaps else math.inf
+    if len(ref) < 3:
+        return math.inf
+    d = np.sort(_segment_table(points, ref)[0], axis=1)
+    return float((d[:, 1] - d[:, 0]).min())
 
 
 def _min_positive(values):
@@ -143,10 +139,8 @@ def _probe_is_smooth(problem, delta, gap_tol=5e-4, apex_tol=1e-3):
         gaps.append(_segment_gap(past, x_ref))
     if problem.cfg.barrier.future_mode == "traj":
         gaps.append(_segment_gap(fut, y_ref))
-    pred = problem.predictor.predict_xy(past[:, 0].tolist(), past[:, 1].tolist(),
-                                        problem.dt, problem.horizon_future)
-    samples = np.stack([np.stack([np.asarray(px), np.asarray(py)], axis=1)
-                        for px, py in pred])  # (T, K, 2)
+    (xs, ys), _ = problem.predictor.predict_vjp(past, problem.dt, problem.horizon_future)
+    samples = np.stack([xs, ys], axis=2)  # (T, K, 2)
     name = problem.cfg.objective
     if name in ("ade", "fde"):
         ref = np.asarray(problem.y_ref_pts)
@@ -212,12 +206,15 @@ def test_criterion_3_gradient_correctness():
         delta = _draw_smooth_probe(rng, problem)
         if delta is None:
             continue
-        err = finite_diff_check(problem.eval_loss, delta.ravel().tolist())
+        def loss(flat):
+            return reference_loss(problem, flat)
+
+        err = finite_diff_check(loss, delta.ravel().tolist())
         key = (objective, observed, future)
         worst[key] = max(worst.get(key, 0.0), err)
         _, g = problem.loss_and_grad(delta)
         worst_adjoint = max(worst_adjoint, central_difference_error(
-            g.ravel(), problem.eval_loss, delta.ravel().tolist()))
+            g.ravel(), loss, delta.ravel().tolist()))
         done += 1
     elapsed = time.time() - start
     peak = max(worst.values())
@@ -414,7 +411,8 @@ def test_criterion_9_geometry_oracles():
     c = rng.uniform(-10, 10, (n, 2))
     degenerate = rng.random(n) < 0.1
     c[degenerate] = b[degenerate]
-    got = np.array([point_segment_distance(p, q, r) for p, q, r in zip(a, b, c)])
+    got = np.array([constraint_distances([p], [q, r], "traj")[0]
+                    for p, q, r in zip(a, b, c)])
     ref = segment_distance_bruteforce(a, b, c)
     seg_worst = float(np.max(np.abs(got - ref)))
 
@@ -424,7 +422,7 @@ def test_criterion_9_geometry_oracles():
         c2 = c1 + rng.uniform(-6.0, 6.0, 2)
         h1 = float(rng.uniform(-math.pi, math.pi))
         h2 = float(rng.uniform(-math.pi, math.pi))
-        got_b = oriented_box_overlap(tuple(c1), h1, tuple(c2), h2, 4.2, 1.7)
+        got_b = bool(box_overlap_mask(c1, h1, c2, h2, 4.2, 1.7))
         ref_b = box_overlap_oracle(tuple(c1), h1, tuple(c2), h2, 4.2, 1.7,
                                    grid_n=25)
         if got_b != ref_b:

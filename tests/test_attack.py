@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import make_trajectory, straight_trajectory
+from tape_reference import Var, grad, reference_loss, value
 from trajattack.attack import (AttackConfig, AttackProblem, PGDState,
                                control_box, dataset_accel_bounds,
-                               pgd_iteration, project_box, run_attack)
+                               pgd_iteration, run_attack)
 from trajattack.barriers import BarrierConfig
-from trajattack.core import (AgentState, ConfigError, ControlSequence, Perturbation,
-                             Scenario, Trajectory)
-from trajattack.dynamics import rollout
-from trajattack.gradtape import Var, grad, value
-from trajattack.objectives import OBJECTIVES
+from trajattack.core import AgentState, ConfigError, ControlSequence, Scenario, Trajectory
+from trajattack.dynamics import extract_controls, rollout
+from trajattack.objectives import OBJECTIVES, collision_fn_grad
 from trajattack.predictor import KinematicPredictor, PredictorConfig
 from trajattack.scenario_io import generate_left_turn, sample_left_turn_params
 
@@ -79,17 +78,20 @@ class TestControlBox:
         assert not empty[0, 1]
 
     def test_project_inside_is_identity(self):
+        # pgd_iteration projects its step onto the box: a step inside stays
         cfg = AttackConfig(a_min=-9.0, a_max=9.0)
-        d = Perturbation(np.array([[1.0, -0.03]]))
-        out = project_box(seq([[0.0, 0.0]]), d, cfg)
-        np.testing.assert_array_equal(out.delta, d.delta)
+        lo, hi, _ = control_box(seq([[0.0, 0.0]]), cfg)
+        problem = _StubProblem(grad=[[-100.0, 3.0]], lo=lo, hi=hi)
+        state, _ = pgd_iteration(problem, PGDState(delta=np.zeros((1, 2)), alpha=0.01))
+        np.testing.assert_array_equal(state.delta, [[1.0, -0.03]])
 
     def test_project_clips_to_box(self):
         cfg = AttackConfig(a_min=-9.0, a_max=9.0)
-        d = Perturbation(np.array([[3.0, 0.05]]))
-        out = project_box(seq([[0.0, 0.18]]), d, cfg)
-        assert out.delta[0, 0] == 2.0
-        assert math.isclose(out.delta[0, 1], 0.02, abs_tol=1e-15)
+        lo, hi, _ = control_box(seq([[0.0, 0.18]]), cfg)
+        problem = _StubProblem(grad=[[-300.0, -5.0]], lo=lo, hi=hi)
+        state, _ = pgd_iteration(problem, PGDState(delta=np.zeros((1, 2)), alpha=0.01))
+        assert state.delta[0, 0] == 2.0
+        assert math.isclose(state.delta[0, 1], 0.02, abs_tol=1e-15)
 
 
 class TestDatasetAccelBounds:
@@ -269,11 +271,12 @@ class TestRunAttack:
         cfg = AttackConfig(objective="ade", max_iterations=10,
                            a_min=-4.0, a_max=4.0)
         res = run_attack(left_turn, cfg, small_predictor)
-        from trajattack.dynamics import extract_controls, joint_rollout
         s0, _ = extract_controls(left_turn.target_past)
-        x_roll, y_roll = joint_rollout(s0, res.u_pert, res.v_pert)
-        np.testing.assert_allclose(x_roll.points, res.x_pert.points, atol=1e-9)
-        np.testing.assert_allclose(y_roll.points, res.y_pert.points, atol=1e-9)
+        rolled = rollout(s0, ControlSequence(np.vstack([res.u_pert.inputs,
+                                                        res.v_pert.inputs]), left_turn.dt))
+        n = len(res.x_pert)
+        np.testing.assert_allclose(rolled.points[:n], res.x_pert.points, atol=1e-9)
+        np.testing.assert_allclose(rolled.points[n:], res.y_pert.points, atol=1e-9)
 
     def test_final_loss_is_loss_at_returned_perturbation(self):
         scenario = generate_left_turn(
@@ -286,6 +289,22 @@ class TestRunAttack:
         delta = controls - problem.ref_controls
         assert np.array_equal(problem.ref_controls + delta, controls)
         assert res.diagnostics["final_loss"] == problem.loss_and_grad(delta)[0]
+
+    def test_collision_fn_drift_is_zero_at_the_start(self):
+        # the unperturbed predictions are the clean ones: the drift term and
+        # its gradient vanish exactly, at the apex of the norm
+        scenario = generate_left_turn(
+            sample_left_turn_params(np.random.default_rng(7)), seed=7)
+        problem = AttackProblem(scenario, AttackConfig(objective="collision_fn"),
+                                KinematicPredictor(PredictorConfig()))
+        past, fut = problem.positions(np.zeros((problem.n_controls, 2)))
+        (xs, ys), _ = problem.predictor.predict_vjp(past, problem.dt,
+                                                    problem.horizon_future)
+        loss, _, g_xs, g_ys = collision_fn_grad(fut, xs, ys, problem.ego_pts,
+                                                problem.clean_mean)
+        gap = fut - problem.ego_pts
+        assert loss - np.hypot(gap[:, 0], gap[:, 1]).min() == 0.0
+        assert not g_xs.any() and not g_ys.any()
 
 
 BARRIER_FORMS = (("time", "none"), ("time_traj", "none"), ("time", "traj"))
@@ -314,7 +333,7 @@ def test_stacked_feasibility_equals_one_at_a_time(barrier):
 def _assert_adjoint_matches_tape(problem, probes):
     for delta in probes:
         leaves = [Var(float(v)) for v in delta.ravel()]
-        tape_loss = problem.eval_loss(leaves)
+        tape_loss = reference_loss(problem, leaves)
         tape_grad = np.array(grad(tape_loss, leaves)).reshape(delta.shape)
         loss, g = problem.loss_and_grad(delta)
         assert abs(loss - value(tape_loss)) <= 1e-9 * abs(value(tape_loss))
@@ -337,7 +356,7 @@ def _feasible_probes(problem, rng, n=2):
 @pytest.mark.parametrize("objective,barrier",
                          list(itertools.product(OBJECTIVES, BARRIER_FORMS)))
 def test_adjoint_matches_tape(objective, barrier):
-    """The hand-written adjoint against the tape on eval_loss, to 1e-9 relative."""
+    """The hand-written adjoint against the tape reference, to 1e-9 relative."""
     rng = np.random.default_rng(3 * OBJECTIVES.index(objective)
                                 + BARRIER_FORMS.index(barrier))
     scenario = generate_left_turn(sample_left_turn_params(rng), seed=int(rng.integers(1000)))

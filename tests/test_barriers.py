@@ -5,15 +5,37 @@ import math
 import numpy as np
 import pytest
 
+from tape_reference import d_traj, value
 from trajattack.barriers import (FUTURE_MODES, OBSERVED_MODES, BarrierConfig,
-                                 InfeasibleError, barrier_point, barrier_time,
-                                 barrier_time_traj, barrier_traj,
-                                 constraint_distances, d_time, d_traj,
-                                 observed_barrier)
+                                 InfeasibleError, barrier_grad, constraint_distances)
 from trajattack.core import ConfigError, DataError
-from trajattack.gradtape import value
 
 STRAIGHT = [(float(i), 0.0) for i in range(11)]
+
+
+def d_time(p_pert, p_ref):
+    return float(constraint_distances([p_pert], [p_ref], "time")[0])
+
+
+def d_traj_array(p_pert, ref_pts):
+    return float(constraint_distances([p_pert], ref_pts, "traj")[0])
+
+
+def barrier_point(d, d_max):
+    """The barrier of one point at distance d from its reference."""
+    return barrier_grad("time", [(d, 0.0)], [(0.0, 0.0)], d_max)[0]
+
+
+def barrier_time(pert_pts, ref_pts, d_max):
+    return barrier_grad("time", pert_pts, ref_pts, d_max)[0]
+
+
+def barrier_traj(pert_pts, ref_pts, d_max):
+    return barrier_grad("traj", pert_pts, ref_pts, d_max)[0]
+
+
+def barrier_time_traj(pert_pts, ref_pts, d_max):
+    return barrier_grad("time_traj", pert_pts, ref_pts, d_max)[0]
 
 
 class TestBarrierConfig:
@@ -43,31 +65,31 @@ class TestDistances:
         assert d_time((4.0, 6.0), (1.0, 2.0)) == 5.0
 
     def test_d_traj_perpendicular(self):
-        assert math.isclose(value(d_traj((5.0, 0.4), STRAIGHT)), 0.4,
+        assert math.isclose(d_traj_array((5.0, 0.4), STRAIGHT), 0.4,
                             abs_tol=1e-12)
 
     def test_d_traj_invariant_under_longitudinal_slide(self):
-        a = value(d_traj((5.0, 0.4), STRAIGHT))
-        b = value(d_traj((7.0, 0.4), STRAIGHT))
+        a = d_traj_array((5.0, 0.4), STRAIGHT)
+        b = d_traj_array((7.0, 0.4), STRAIGHT)
         assert math.isclose(a, b, abs_tol=1e-12)
 
     def test_d_traj_beyond_endpoint(self):
-        assert math.isclose(value(d_traj((13.0, 4.0), STRAIGHT)), 5.0,
+        assert math.isclose(d_traj_array((13.0, 4.0), STRAIGHT), 5.0,
                             abs_tol=1e-12)
 
     def test_d_traj_short_reference_rejected(self):
         with pytest.raises(DataError):
-            d_traj((0.0, 0.0), [(0.0, 0.0)])
+            d_traj_array((0.0, 0.0), [(0.0, 0.0)])
 
 
 class TestBarrierPoint:
     def test_zero_distance(self):
-        v = value(barrier_point(0.0, 0.9))
+        v = barrier_point(0.0, 0.9)
         assert math.isclose(v, 0.1053605, abs_tol=1e-7)
         assert v == -math.log(0.9)
 
     def test_unit_margin_is_zero(self):
-        assert value(barrier_point(0.9 - 1.0, 0.9)) == 0.0
+        assert barrier_point(0.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("d", [0.9, 0.95, 2.0])
     def test_infeasible_at_threshold(self, d):
@@ -76,19 +98,19 @@ class TestBarrierPoint:
 
     def test_monotone_in_distance(self):
         ds = np.linspace(0.0, 0.89, 30)
-        vals = [value(barrier_point(float(d), 0.9)) for d in ds]
+        vals = [barrier_point(float(d), 0.9) for d in ds]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 class TestTrajectoryBarriers:
     def test_time_zero_offsets(self):
         pts = STRAIGHT
-        assert math.isclose(value(barrier_time(pts, pts, 0.9)), -math.log(0.9),
+        assert math.isclose(barrier_time(pts, pts, 0.9), -math.log(0.9),
                             abs_tol=1e-12)
 
     def test_time_uniform_half_meter(self):
         moved = [(x, y + 0.5) for x, y in STRAIGHT]
-        v = value(barrier_time(moved, STRAIGHT, 0.9))
+        v = barrier_time(moved, STRAIGHT, 0.9)
         assert math.isclose(v, -math.log(0.4), abs_tol=1e-12)
         assert math.isclose(v, 0.9163, abs_tol=1e-4)
 
@@ -103,11 +125,11 @@ class TestTrajectoryBarriers:
         slid[5] = (7.0, 0.0)
         with pytest.raises(InfeasibleError):
             barrier_time(slid, STRAIGHT, 0.9)
-        assert math.isclose(value(barrier_traj(slid, STRAIGHT, 0.9)),
+        assert math.isclose(barrier_traj(slid, STRAIGHT, 0.9),
                             -math.log(0.9), abs_tol=1e-12)
 
     def test_time_traj_zero_offsets(self):
-        v = value(barrier_time_traj(STRAIGHT, STRAIGHT, 0.9))
+        v = barrier_time_traj(STRAIGHT, STRAIGHT, 0.9)
         assert math.isclose(v, 2.0 * -math.log(0.9), abs_tol=1e-12)
         assert math.isclose(v, 0.2107, abs_tol=1e-4)
 
@@ -116,23 +138,23 @@ class TestTrajectoryBarriers:
         # the polyline but leaves the final point a meter short of its
         # reference: fine for traj, infeasible once the pin applies.
         squeezed = [(0.9 * x, y) for x, y in STRAIGHT]
-        assert value(barrier_traj(squeezed, STRAIGHT, 0.9)) == pytest.approx(
+        assert barrier_traj(squeezed, STRAIGHT, 0.9) == pytest.approx(
             -math.log(0.9), abs=1e-12)
         with pytest.raises(InfeasibleError):
             barrier_time_traj(squeezed, STRAIGHT, 0.9)
 
     def test_observed_dispatch(self):
-        assert value(observed_barrier("time", STRAIGHT, STRAIGHT, 0.9)) == \
-            value(barrier_time(STRAIGHT, STRAIGHT, 0.9))
-        assert value(observed_barrier("time_traj", STRAIGHT, STRAIGHT, 0.9)) == \
-            value(barrier_time_traj(STRAIGHT, STRAIGHT, 0.9))
+        assert math.isclose(barrier_grad("time", STRAIGHT, STRAIGHT, 0.9)[0],
+                            -math.log(0.9), abs_tol=1e-12)
+        assert barrier_grad("time_traj", STRAIGHT, STRAIGHT, 0.9)[0] == \
+            barrier_traj(STRAIGHT, STRAIGHT, 0.9) + barrier_point(0.0, 0.9)
         with pytest.raises(ConfigError):
-            observed_barrier("traj", STRAIGHT, STRAIGHT, 0.9)
+            barrier_grad("none", STRAIGHT, STRAIGHT, 0.9)
 
     def test_barrier_grows_toward_threshold(self):
         offsets = np.linspace(0.0, 0.85, 12)
-        vals = [value(barrier_time([(x, y + o) for x, y in STRAIGHT],
-                                   STRAIGHT, 0.9)) for o in offsets]
+        vals = [barrier_time([(x, y + o) for x, y in STRAIGHT],
+                                   STRAIGHT, 0.9) for o in offsets]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 

@@ -1,9 +1,14 @@
 """Command line interface: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trajattack
 from trajattack.cli import GRID, PARALLEL_ENV, _stable_seed, main
 from trajattack.metrics import read_rows_jsonl
 
@@ -224,3 +229,18 @@ class TestSeeding:
         assert _stable_seed(7, 3) == _stable_seed(7, 3)
         assert _stable_seed(7, 3) != _stable_seed(8, 3)
         assert all(0 <= s < 2 ** 63 for s in seeds)
+
+
+def test_cli_import_loads_only_the_package():
+    """A fresh interpreter imports trajattack.cli without scipy, the tests'
+    tape reference or a gradient tape module."""
+    src = str(Path(trajattack.__file__).resolve().parents[1])
+    code = "import sys, trajattack.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    modules = proc.stdout.split()
+    assert "trajattack.cli" in modules
+    stray = [m for m in modules
+             if m.split(".")[0] in ("scipy", "tests", "tape_reference")
+             or m == "trajattack.gradtape"]
+    assert stray == []

@@ -6,10 +6,23 @@ import numpy as np
 import pytest
 
 from oracles import box_overlap_oracle, segment_distance_bruteforce
+from trajattack.barriers import constraint_distances
 from trajattack.core import (AgentState, ControlInput, ControlSequence,
                              DataError, PredictionSet, Scenario, Trajectory,
-                             box_overlap_mask, oriented_box_overlap,
-                             point_segment_distance, wrap_angle)
+                             box_overlap_mask, wrap_angle)
+
+
+def point_segment_distance(a, b, c):
+    """Distance from point a to the segment [b, c], through the barriers'
+    segment table: a two-point reference polyline from b to c."""
+    return float(constraint_distances([a], [b, c], "traj")[0])
+
+
+def oriented_box_overlap(center1, heading1, center2, heading2, length, width):
+    """box_overlap_mask on a single box pair, as 0 or 1."""
+    return int(box_overlap_mask(np.asarray(center1, dtype=float), heading1,
+                                np.asarray(center2, dtype=float), heading2,
+                                length, width))
 
 
 class TestWrapAngle:
@@ -167,6 +180,7 @@ class TestOrientedBoxOverlap:
             assert got == int(want)
 
     def test_mask_matches_scalar(self):
+        # a batch of pairs gives the answers of the pairs one at a time
         rng = np.random.default_rng(31)
         n = 500
         c1 = rng.uniform(-4.0, 4.0, (n, 2))

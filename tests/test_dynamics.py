@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import make_trajectory
-from trajattack.core import AgentState, ControlInput, ControlSequence
-from trajattack.dynamics import (direction_of_travel, extract_controls,
-                                 extract_initial_state, joint_rollout,
-                                 phi_forward, rollout)
+from trajattack.attack import AttackConfig, AttackProblem
+from trajattack.core import AgentState, ControlSequence, Scenario, Trajectory
+from trajattack.dynamics import extract_controls, inverse_states, rollout, unicycle_scan
+from trajattack.predictor import KinematicPredictor, PredictorConfig
 
 
 def random_rollout(rng, n=None, v_lo=-5.0, v_hi=15.0, a_bound=4.0,
@@ -24,73 +24,92 @@ def random_rollout(rng, n=None, v_lo=-5.0, v_hi=15.0, a_bound=4.0,
     return s0, ControlSequence(inputs, dt)
 
 
+def one_step(s, a, kappa, dt=0.1):
+    """State (x, y, theta, v) after one control step of the forward model."""
+    x, y, theta, v = unicycle_scan(s.x, s.y, s.theta, s.v, np.array([a]),
+                                   np.array([kappa]), dt)
+    return x[1], y[1], theta[1], v[1]
+
+
 class TestPhiForward:
     def test_zero_control_straight(self):
-        s = phi_forward(AgentState(0, 0, 0, 1), ControlInput(0, 0), 0.1)
-        assert (s.x, s.y, s.theta, s.v) == (0.1, 0.0, 0.0, 1.0)
+        assert one_step(AgentState(0, 0, 0, 1), 0, 0) == (0.1, 0.0, 0.0, 1.0)
 
     def test_acceleration(self):
-        s = phi_forward(AgentState(0, 0, 0, 2), ControlInput(2, 0), 0.1)
-        assert math.isclose(s.v, 2.2, abs_tol=1e-15)
-        assert math.isclose(s.x, 0.22, abs_tol=1e-15)
-        assert s.y == 0.0 and s.theta == 0.0
+        x, y, theta, v = one_step(AgentState(0, 0, 0, 2), 2, 0)
+        assert math.isclose(v, 2.2, abs_tol=1e-15)
+        assert math.isclose(x, 0.22, abs_tol=1e-15)
+        assert y == 0.0 and theta == 0.0
 
     def test_quarter_turn_in_one_step(self):
-        s = phi_forward(AgentState(0, 0, 0, 1), ControlInput(0, 5 * math.pi), 0.1)
-        assert math.isclose(s.theta, math.pi / 2, abs_tol=1e-12)
-        assert abs(s.x) < 1e-12
-        assert math.isclose(s.y, 0.1, abs_tol=1e-12)
+        x, y, theta, _ = one_step(AgentState(0, 0, 0, 1), 0, 5 * math.pi)
+        assert math.isclose(theta, math.pi / 2, abs_tol=1e-12)
+        assert abs(x) < 1e-12
+        assert math.isclose(y, 0.1, abs_tol=1e-12)
 
     def test_direction_follows_speed_sign(self):
-        fwd = phi_forward(AgentState(0, 0, 0, 1), ControlInput(0, 0), 0.1)
-        rev = phi_forward(AgentState(0, 0, 0, 1), ControlInput(-30, 0), 0.1)
-        assert fwd.direction == 1
-        assert rev.v < 0 and rev.direction == -1
+        # a negative speed moves the vehicle backwards along its heading
+        fwd = one_step(AgentState(0, 0, 0, 1), 0, 0)
+        rev = one_step(AgentState(0, 0, 0, 1), -30, 0)
+        assert fwd[0] > 0.0
+        assert rev[3] < 0 and rev[0] < 0.0 and rev[2] == 0.0
 
     def test_zero_speed_keeps_direction(self):
-        stopped = phi_forward(AgentState(0, 0, 0, 1, direction=-1),
-                              ControlInput(-10, 0), 0.1)
-        assert stopped.v == 0.0
-        assert stopped.direction == -1
+        x, y, theta, v = one_step(AgentState(0, 0, 0.4, 1, direction=-1), -10, 0)
+        assert v == 0.0
+        assert (x, y, theta) == (0.0, 0.0, 0.4)
 
 
 class TestExtractInitialState:
     def test_speed_and_heading(self):
-        s = extract_initial_state((0.0, 0.0), (0.3, 0.4), 0.1)
+        s, _ = extract_controls(make_trajectory([(0.0, 0.0), (0.3, 0.4)]))
         assert math.isclose(s.v, 5.0, abs_tol=1e-12)
         assert math.isclose(s.theta, math.atan2(4.0, 3.0), abs_tol=1e-12)
         assert (s.x, s.y) == (0.0, 0.0)
 
     def test_stationary(self):
-        s = extract_initial_state((0.0, 0.0), (0.0, 0.0), 0.1)
+        s, _ = extract_controls(make_trajectory([(0.0, 0.0), (0.0, 0.0)]))
         assert s.v == 0.0 and s.theta == 0.0
 
     def test_backward_motion_encoded_in_heading(self):
-        s = extract_initial_state((0.0, 0.0), (-0.1, 0.0), 0.1)
+        s, _ = extract_controls(make_trajectory([(0.0, 0.0), (-0.1, 0.0)]))
         assert math.isclose(s.v, 1.0, abs_tol=1e-12)
         assert math.isclose(s.theta, math.pi, abs_tol=1e-12)
         assert s.direction == 1
 
 
+def travel_signs(points):
+    """Direction of travel per step that the inverse model extracts."""
+    pts = np.asarray(points, dtype=float)
+    theta, v, _, _, sign = inverse_states(pts[:, 0], pts[:, 1], 0.1)
+    return sign.tolist(), theta, v
+
+
 class TestDirectionOfTravel:
     def test_aligned_forward(self):
-        assert direction_of_travel(1.0, 0.0, AgentState(0, 0, 0, 1)) == 1
+        assert travel_signs([(0, 0), (0.1, 0), (0.3, 0.01)])[0] == [1.0, 1.0]
 
     def test_opposed(self):
-        assert direction_of_travel(-0.5, 0.0, AgentState(0, 0, 0, 1)) == -1
+        assert travel_signs([(0, 0), (0.1, 0), (0.05, 0)])[0] == [1.0, -1.0]
 
     def test_reversal_to_forward_flips_flag(self):
         # backing up (v < 0) and then moving along the heading again: the
         # flag is absolute, so the aligned displacement reads as forward
-        s = AgentState(0, 0, math.pi / 2, -2.0)
-        assert direction_of_travel(0.0, 1.0, s) == 1
+        signs, theta, v = travel_signs([(0, 0), (0, 0.1), (0, -0.1), (0, 0.0)])
+        assert signs == [1.0, -1.0, 1.0]
+        assert v[2] < 0.0 and v[3] > 0.0
+        np.testing.assert_allclose(theta, math.pi / 2, atol=1e-12)
 
     def test_sustained_reversal_keeps_flag(self):
-        s = AgentState(0, 0, math.pi / 2, -2.0)
-        assert direction_of_travel(0.0, -1.0, s) == -1
+        signs, theta, _ = travel_signs([(0, 0), (0, 0.1), (0, -0.1), (0, -0.4)])
+        assert signs == [1.0, -1.0, -1.0]
+        np.testing.assert_allclose(theta, math.pi / 2, atol=1e-12)
 
     def test_zero_velocity_uses_speed_sign(self):
-        assert direction_of_travel(0.0, 0.0, AgentState(0, 0, 0, 0)) == 1
+        # a stationary step has no direction: zero speed, heading carried over
+        signs, theta, v = travel_signs([(0, 0), (0, 0.1), (0, 0.1)])
+        assert signs == [1.0, 0.0]
+        assert v[2] == 0.0 and theta[2] == theta[1]
 
 
 class TestExtractControls:
@@ -163,48 +182,51 @@ class TestRollout:
             assert err < 1e-6
 
 
+def _problem(scenario):
+    cfg = AttackConfig(a_min=-9.0, a_max=9.0)
+    return AttackProblem(scenario, cfg, KinematicPredictor(PredictorConfig(n_samples=2)))
+
+
+def _straight_scenario(theta=0.0, v=5.0, inputs=None):
+    """11 past and 11 future points rolled from the given 21 controls."""
+    inputs = np.zeros((21, 2)) if inputs is None else inputs
+    pts = rollout(AgentState(0, 0, theta, v), ControlSequence(inputs, 0.1)).points
+    ego = pts + (0.0, 20.0)
+    return Scenario(Trajectory(ego[:11], 0.1, -10), Trajectory(ego[11:], 0.1, 1),
+                    Trajectory(pts[:11], 0.1, -10), Trajectory(pts[11:], 0.1, 1))
+
+
 class TestJointRollout:
+    """AttackProblem.positions rolls the past controls, then the future ones."""
+
     def test_zero_perturbation_identity(self, left_turn):
-        past = left_turn.target_past
-        future = left_turn.target_future
-        all_pts = np.vstack([past.points, future.points])
-        s0, seq = extract_controls(make_trajectory(all_pts, dt=past.dt))
-        u = ControlSequence(seq.inputs[: len(past) - 1], past.dt)
-        v = ControlSequence(seq.inputs[len(past) - 1:], past.dt)
-        xs, ys = joint_rollout(s0, u, v)
-        assert np.abs(xs.points - past.points).max() < 1e-6
-        assert np.abs(ys.points - future.points).max() < 1e-6
+        problem = _problem(left_turn)
+        xs, ys = problem.positions(np.zeros((problem.n_controls, 2)))
+        assert np.abs(xs - left_turn.target_past.points).max() < 1e-6
+        assert np.abs(ys - left_turn.target_future.points).max() < 1e-6
 
     def test_last_past_control_moves_every_future_point(self):
-        s0 = AgentState(0, 0, 0, 5.0)
-        u = ControlSequence(np.zeros((11, 2)), 0.1)
-        v = ControlSequence(np.zeros((12, 2)), 0.1)
-        _, y_ref = joint_rollout(s0, u, v)
-        bumped = u.inputs.copy()
-        bumped[-1, 0] = 1.0
-        _, y_new = joint_rollout(s0, ControlSequence(bumped, 0.1), v)
-        moved = np.linalg.norm(y_new.points - y_ref.points, axis=1)
+        problem = _problem(_straight_scenario())
+        delta = np.zeros((problem.n_controls, 2))
+        _, y_ref = problem.positions(delta)
+        delta[len(problem.u_ref) - 1, 0] = 1.0
+        _, y_new = problem.positions(delta)
+        moved = np.linalg.norm(y_new - y_ref, axis=1)
         assert (moved > 1e-9).all()
 
     def test_future_controls_leave_past_untouched(self):
-        s0 = AgentState(0, 0, 0.2, 5.0)
-        u = ControlSequence(np.full((11, 2), 0.01), 0.1)
-        v = ControlSequence(np.zeros((12, 2)), 0.1)
-        x_ref, _ = joint_rollout(s0, u, v)
-        bumped = v.inputs.copy()
-        bumped[:, 0] = 2.0
-        x_new, _ = joint_rollout(s0, u, ControlSequence(bumped, 0.1))
-        assert np.array_equal(x_ref.points, x_new.points)
+        problem = _problem(_straight_scenario(theta=0.2, inputs=np.full((21, 2), 0.01)))
+        delta = np.zeros((problem.n_controls, 2))
+        x_ref, _ = problem.positions(delta)
+        delta[len(problem.u_ref):, 0] = 2.0
+        x_new, _ = problem.positions(delta)
+        assert np.array_equal(x_ref, x_new)
 
     def test_future_starts_at_index_one(self):
-        s0 = AgentState(0, 0, 0, 1.0)
-        u = ControlSequence(np.zeros((3, 2)), 0.1)
-        v = ControlSequence(np.zeros((4, 2)), 0.1)
-        xs, ys = joint_rollout(s0, u, v)
-        assert len(xs) == 4 and len(ys) == 4
-        assert ys.t0_index == 1
-        assert math.isclose(ys.points[0, 0], xs.points[-1, 0] + 0.1,
-                            abs_tol=1e-12)
+        problem = _problem(_straight_scenario(v=1.0))
+        xs, ys = problem.positions(np.zeros((problem.n_controls, 2)))
+        assert len(xs) == 11 and len(ys) == 11
+        assert math.isclose(ys[0, 0], xs[-1, 0] + 0.1, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("v0", [-5.0, -0.5, 0.0])

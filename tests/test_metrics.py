@@ -14,7 +14,7 @@ from trajattack.metrics import (COLUMNS, MetricRow, aggregate,
                                 metric_curv, metric_dmax, metric_dmean,
                                 metric_fde, read_rows_jsonl, write_rows_csv,
                                 write_rows_jsonl)
-from trajattack.objectives import loss_ade, loss_fde
+from trajattack.objectives import ade_grad, fde_grad
 
 LEN, WID = 4.2, 1.7
 
@@ -40,8 +40,9 @@ class TestDisplacementMetrics:
         ref = rng.normal(size=(7, 2))
         pred = PredictionSet(rng.normal(size=(4, 7, 2)), 0.1)
         y = make_trajectory(ref)
-        assert abs(metric_ade(pred, y) + loss_ade(y, pred)) < 1e-12
-        assert abs(metric_fde(pred, y) + loss_fde(y, pred)) < 1e-12
+        xs, ys = pred.samples[:, :, 0].T, pred.samples[:, :, 1].T
+        assert abs(metric_ade(pred, y) + ade_grad(xs, ys, ref)[0]) < 1e-12
+        assert abs(metric_fde(pred, y) + fde_grad(xs, ys, ref)[0]) < 1e-12
 
     def test_horizon_mismatch(self):
         pred = PredictionSet(np.zeros((1, 3, 2)), 0.1)

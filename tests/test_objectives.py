@@ -6,12 +6,40 @@ import numpy as np
 import pytest
 
 from conftest import make_trajectory, straight_trajectory
+from tape_reference import ade_xy, collision_fp_xy, fde_xy, value
+from trajattack.attack import AttackConfig, AttackProblem
+from trajattack.barriers import BarrierConfig, barrier_grad
 from trajattack.core import DataError, PredictionSet
-from trajattack.gradtape import value
-from trajattack.objectives import (OBJECTIVES, ade_xy, collision_fn_xy,
-                                   collision_fp_xy, compose_total_loss,
-                                   fde_xy, loss_ade, loss_collision_fn,
-                                   loss_collision_fp, loss_fde)
+from trajattack.objectives import (OBJECTIVES, ade_grad, collision_fn_grad,
+                                   collision_fp_grad, fde_grad)
+from trajattack.predictor import KinematicPredictor, PredictorConfig
+
+
+# The hand-value tests read the array losses through these adapters over
+# PredictionSet and Trajectory.
+
+
+def _xy(pred):
+    """(T, K) sample coordinates of a PredictionSet."""
+    return pred.samples[:, :, 0].T, pred.samples[:, :, 1].T
+
+
+def loss_ade(y_tar, pred):
+    return float(ade_grad(*_xy(pred), y_tar.points)[0])
+
+
+def loss_fde(y_tar, pred):
+    return float(fde_grad(*_xy(pred), y_tar.points)[0])
+
+
+def loss_collision_fp(y_ego, pred):
+    return float(collision_fp_grad(*_xy(pred), y_ego.points)[0])
+
+
+def loss_collision_fn(y_ego, y_pert, pred_pert, pred_clean):
+    clean_mean = pred_clean.samples.mean(axis=0)
+    return float(collision_fn_grad(y_pert.points, *_xy(pred_pert), y_ego.points,
+                                   clean_mean)[0])
 
 
 def pred_from_offsets(ref_pts, offsets):
@@ -122,16 +150,22 @@ class TestCollisionFn:
 
 
 class TestCompose:
-    def test_sum_with_default_weights(self):
-        total = compose_total_loss(1.0, [-math.log(0.9)])
-        assert math.isclose(total, 1.1053605, abs_tol=1e-6)
-
-    def test_zero_weight_removes_term(self):
-        assert compose_total_loss(1.0, [100.0], weights=[0.0]) == 1.0
-
-    def test_weight_count_mismatch(self):
-        with pytest.raises(DataError):
-            compose_total_loss(1.0, [1.0, 2.0], weights=[1.0])
+    def test_sum_with_default_weights(self, left_turn):
+        # the attack's total loss is the objective plus each barrier term
+        cfg = AttackConfig(objective="ade", a_min=-4.0, a_max=4.0,
+                           barrier=BarrierConfig(observed_mode="time_traj",
+                                                 future_mode="traj"))
+        problem = AttackProblem(left_turn, cfg,
+                                KinematicPredictor(PredictorConfig(n_samples=5)))
+        delta = np.zeros((problem.n_controls, 2))
+        delta[:, 0] = 0.05
+        past, fut = problem.positions(delta)
+        (xs, ys), _ = problem.predictor.predict_vjp(past, problem.dt,
+                                                    problem.horizon_future)
+        total = (ade_grad(xs, ys, problem.y_ref_pts)[0]
+                 + barrier_grad("time_traj", past, problem.x_ref, 0.9)[0]
+                 + barrier_grad("traj", fut, problem.y_ref, 0.9)[0])
+        assert problem.loss_and_grad(delta)[0] == total
 
     def test_objective_names(self):
         assert OBJECTIVES == ("ade", "fde", "collision_fp", "collision_fn")
@@ -159,14 +193,16 @@ class TestInvariances:
                        - loss_collision_fn(t_ego_s, t_ref_s, pred_s, pred_s)) < 1e-12
 
     def test_xy_core_matches_typed_wrapper(self):
+        # the array losses against the tape reference's scalar cores
         rng = np.random.default_rng(4)
         ref = rng.normal(size=(6, 2))
         samples = rng.normal(size=(5, 6, 2))
         pred = PredictionSet(samples, 0.1)
         pred_xy = [(samples[:, t, 0], samples[:, t, 1]) for t in range(6)]
-        assert loss_ade(make_trajectory(ref), pred) == float(value(
-            ade_xy(pred_xy, [tuple(p) for p in ref])))
-        assert loss_fde(make_trajectory(ref), pred) == float(value(
-            fde_xy(pred_xy, [tuple(p) for p in ref])))
-        assert loss_collision_fp(make_trajectory(ref), pred) == float(value(
-            collision_fp_xy(pred_xy, [tuple(p) for p in ref])))
+        ref_pts = [tuple(p) for p in ref]
+        assert loss_ade(make_trajectory(ref), pred) == pytest.approx(
+            float(value(ade_xy(pred_xy, ref_pts))), rel=1e-15)
+        assert loss_fde(make_trajectory(ref), pred) == pytest.approx(
+            float(value(fde_xy(pred_xy, ref_pts))), rel=1e-15)
+        assert loss_collision_fp(make_trajectory(ref), pred) == pytest.approx(
+            float(value(collision_fp_xy(pred_xy, ref_pts))), rel=1e-15)

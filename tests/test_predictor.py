@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_trajectory, straight_trajectory
-from trajattack.attack import AttackConfig, run_attack
-from trajattack.core import ConfigError, DataError, PredictionSet, PredictorError
-from trajattack.gradtape import Var
-from trajattack.predictor import (REGISTRY, FiniteDiffKinematicPredictor,
-                                  KinematicPredictor, PredictorConfig,
-                                  check_deterministic, get_predictor,
-                                  predict_mean)
+from trajattack.attack import AttackConfig, AttackProblem
+from trajattack.core import ConfigError, DataError, Trajectory
+from trajattack.predictor import KinematicPredictor, PredictorConfig, check_deterministic
 
 
 def arc_points(n, v, kappa, dt, x0=0.0, y0=0.0, theta0=0.0):
@@ -125,68 +121,18 @@ class TestDeterminism:
         assert np.array_equal(a.samples, b.samples)
 
 
-class TestRegistry:
-    def test_known_names(self):
-        assert "kinematic" in REGISTRY
-        assert "kinematic-fd" in REGISTRY
-
-    def test_get_predictor(self):
-        p = get_predictor("kinematic")
-        assert isinstance(p, KinematicPredictor)
-        assert p.supports_gradients
-
-    def test_unknown_name(self):
-        with pytest.raises(ConfigError):
-            get_predictor("oracle")
-
-    def test_config_passthrough(self):
-        p = get_predictor("kinematic", PredictorConfig(n_samples=7))
-        assert p.config.n_samples == 7
-
-
-class TestFiniteDiffVariant:
-    def test_refuses_tape_nodes(self):
-        p = FiniteDiffKinematicPredictor(PredictorConfig(n_samples=2))
-        assert not p.supports_gradients
-        xs = [Var(0.0), Var(0.5), Var(1.0)]
-        ys = [Var(0.0), Var(0.0), Var(0.0)]
-        with pytest.raises(PredictorError):
-            p.predict_xy(xs, ys, 0.1, 3)
-
-    def test_plain_floats_match_gradient_variant(self, left_turn):
-        cfg = PredictorConfig(n_samples=10)
-        a = KinematicPredictor(cfg).predict(left_turn.target_past, horizon=6)
-        b = FiniteDiffKinematicPredictor(cfg).predict(left_turn.target_past,
-                                                      horizon=6)
-        assert np.array_equal(a.samples, b.samples)
-
-    def test_attack_loss_trace_matches_tape_attack(self, left_turn):
-        cfg = AttackConfig(objective="ade", max_iterations=8,
-                           a_min=-4.0, a_max=4.0)
-        pcfg = PredictorConfig(n_samples=5)
-        tape = run_attack(left_turn, cfg, KinematicPredictor(pcfg))
-        fd = run_attack(left_turn, cfg, FiniteDiffKinematicPredictor(pcfg))
-        assert len(tape.loss_trace) == len(fd.loss_trace)
-        for lt, lf in zip(tape.loss_trace, fd.loss_trace):
-            assert abs(lt - lf) < 1e-3
-
-
 class TestPredictMean:
-    def test_single_sample_identity(self):
-        samples = np.arange(10.0).reshape(1, 5, 2)
-        mean = predict_mean(PredictionSet(samples, 0.1))
-        np.testing.assert_array_equal(mean.points, samples[0])
-        assert mean.t0_index == 1
+    """AttackProblem.clean_mean: the mean prediction on the rolled reference."""
 
-    def test_mirrored_pair_cancels(self):
-        rng = np.random.default_rng(3)
-        s = rng.normal(size=(1, 6, 2))
-        pair = np.concatenate([1.0 + s, 1.0 - s], axis=0)
-        mean = predict_mean(PredictionSet(pair, 0.1))
-        np.testing.assert_allclose(mean.points, 1.0, atol=1e-12)
+    def test_single_sample_identity(self, left_turn):
+        p = KinematicPredictor(PredictorConfig(n_samples=1))
+        problem = AttackProblem(left_turn, AttackConfig(), p)
+        past = Trajectory(problem.x_ref, left_turn.dt)
+        sample = p.predict(past, horizon=left_turn.horizon_future).samples[0]
+        np.testing.assert_array_equal(problem.clean_mean, sample)
 
     def test_matches_bruteforce_average(self, predictor, left_turn):
-        pred = predictor.predict(left_turn.target_past, horizon=12)
-        mean = predict_mean(pred)
+        problem = AttackProblem(left_turn, AttackConfig(), predictor)
+        pred = predictor.predict(Trajectory(problem.x_ref, left_turn.dt), horizon=12)
         brute = sum(pred.samples[k] for k in range(100)) / 100.0
-        np.testing.assert_allclose(mean.points, brute, atol=1e-12)
+        np.testing.assert_allclose(problem.clean_mean, brute, atol=1e-12)

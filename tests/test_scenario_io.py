@@ -1,22 +1,18 @@
-"""Scenario generation, prediction-point selection, smoothing, and files."""
+"""Scenario generation and scenario files."""
 
 import dataclasses
 import logging
-import math
 import re
 
 import numpy as np
 import pytest
 
-from conftest import make_trajectory, straight_trajectory
+from conftest import make_trajectory
 from trajattack.core import ConfigError, DataError, GenerationError
 from trajattack.dynamics import extract_controls
-from trajattack.metrics import metric_accel
 from trajattack.scenario_io import (PRESETS, LeftTurnParams,
                                     generate_left_turn, ingest_scenarios,
-                                    sample_left_turn_params,
-                                    select_prediction_point,
-                                    smooth_savitzky_golay, write_scenarios)
+                                    sample_left_turn_params, write_scenarios)
 
 
 def default_params(**overrides):
@@ -121,110 +117,6 @@ class TestGeneration:
     def test_rejects_bad_params(self, overrides, err):
         with pytest.raises(err):
             generate_left_turn(default_params(**overrides), seed=0)
-
-
-class TestSelectPredictionPoint:
-    @staticmethod
-    def episode_from_ys(ys, dt=0.1):
-        ego = np.column_stack([np.zeros(len(ys)), np.asarray(ys, dtype=float)])
-        tgt = np.column_stack([np.arange(len(ys), dtype=float),
-                               np.zeros(len(ys))])
-        return make_trajectory(tgt, dt), make_trajectory(ego, dt)
-
-    def test_picks_braking_limit_distance(self):
-        # 10 m/s ego closing on the intersection; stopping distance at
-        # b_max = 6 is 100 / 12 = 8.33 m.
-        ys = 30.0 - np.arange(40.0)
-        tgt, ego = self.episode_from_ys(ys)
-        s = select_prediction_point(tgt, ego, (0.0, 0.0), b_max=6.0)
-        picked_dist = abs(ego.points[int(s.target_past.points[-1, 0]), 1])
-        assert abs(picked_dist - 100.0 / 12.0) <= 0.5
-
-    def test_tie_resolves_to_earlier_index(self):
-        # Two approaches reach distance 8 at identical speed; the first wins.
-        ys = list(range(30, 7, -1)) + [9, 10, 9, 8] + list(range(7, -6, -1))
-        tgt, ego = self.episode_from_ys(ys)
-        s = select_prediction_point(tgt, ego, (0.0, 0.0), b_max=6.0)
-        assert s.target_past.points[-1, 0] == 22.0
-
-    def test_receding_ego_has_no_valid_point(self):
-        ys = 5.0 + np.arange(40.0)
-        tgt, ego = self.episode_from_ys(ys)
-        with pytest.raises(DataError):
-            select_prediction_point(tgt, ego, (0.0, 0.0))
-
-    def test_larger_b_max_selects_closer_point(self):
-        ys = 30.0 - np.arange(40.0)
-        tgt, ego = self.episode_from_ys(ys)
-        picked = []
-        for b in (2.0, 4.0, 6.0, 12.0):
-            s = select_prediction_point(tgt, ego, (0.0, 0.0), b_max=b)
-            picked.append(float(s.target_past.points[-1, 0]))
-        assert picked == sorted(picked)
-        assert picked[0] < picked[-1]
-
-    def test_window_shapes(self):
-        ys = 30.0 - np.arange(40.0)
-        tgt, ego = self.episode_from_ys(ys)
-        s = select_prediction_point(tgt, ego, (0.0, 0.0), H=10, T=14)
-        assert s.horizon_past == 10
-        assert s.horizon_future == 14
-
-    def test_short_episode(self):
-        ys = 30.0 - np.arange(20.0)
-        tgt, ego = self.episode_from_ys(ys)
-        with pytest.raises(DataError):
-            select_prediction_point(tgt, ego, (0.0, 0.0), H=12, T=12)
-
-    def test_bad_b_max(self):
-        ys = 30.0 - np.arange(40.0)
-        tgt, ego = self.episode_from_ys(ys)
-        with pytest.raises(ConfigError):
-            select_prediction_point(tgt, ego, (0.0, 0.0), b_max=0.0)
-
-
-class TestSmoothing:
-    def test_reproduces_low_degree_polynomials(self):
-        t = np.arange(20.0)
-        pts = np.column_stack([0.5 * t ** 3 - t ** 2 + 2.0,
-                               -t ** 2 + 3.0 * t])
-        out = smooth_savitzky_golay(make_trajectory(pts), window=7, poly_order=3)
-        np.testing.assert_allclose(out.points, pts, atol=1e-9)
-
-    def test_constant_unchanged(self):
-        pts = np.tile((2.0, -3.0), (15, 1))
-        out = smooth_savitzky_golay(make_trajectory(pts))
-        np.testing.assert_allclose(out.points, pts, atol=1e-12)
-
-    def test_impulse_shrinks(self):
-        pts = np.column_stack([np.arange(21.0), np.zeros(21)])
-        pts[10, 1] = 1.0
-        out = smooth_savitzky_golay(make_trajectory(pts))
-        assert 0.0 < out.points[10, 1] < 1.0
-
-    def test_reduces_extracted_acceleration_noise(self):
-        rng = np.random.default_rng(10)
-        base = straight_trajectory(40, v=6.0)
-        noisy = make_trajectory(base.points + rng.normal(0.0, 0.02, (40, 2)))
-        _, rough = extract_controls(noisy)
-        _, smooth = extract_controls(smooth_savitzky_golay(noisy))
-        assert metric_accel(smooth) < metric_accel(rough)
-
-    def test_preserves_metadata(self):
-        traj = straight_trajectory(15, t0_index=-14)
-        out = smooth_savitzky_golay(traj)
-        assert out.dt == traj.dt
-        assert out.t0_index == -14
-
-    @pytest.mark.parametrize("kwargs", [
-        {"window": 6},
-        {"window": 3, "poly_order": 3},
-        {"window": 5, "poly_order": -1},
-        {"window": 31},
-    ])
-    def test_rejects_bad_window(self, kwargs):
-        with pytest.raises(ConfigError):
-            smooth_savitzky_golay(straight_trajectory(15), **kwargs)
 
 
 class TestFiles:
