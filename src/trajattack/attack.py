@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .barriers import BarrierConfig, barrier_grad, constraint_distances
-from .core import ConfigError, ControlSequence, Trajectory
+from .core import ConfigError, ControlSequence, Trajectory, check_numeric_fields
 from .dynamics import extract_controls, unicycle_scan, unicycle_scan_pullback
 from .objectives import (OBJECTIVES, ade_grad, collision_fn_grad, collision_fp_grad,
                          fde_grad)
@@ -61,9 +61,9 @@ class AttackConfig:
     a_min: float = -9.81              # m/s^2
     a_max: float = 9.81               # m/s^2
     max_halvings: int = 30
-    seed: int = 0
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective {self.objective!r} not in {OBJECTIVES}")
         if not (self.alpha0 > 0.0):
@@ -216,10 +216,16 @@ class AttackProblem:
         # initial iterate exactly at the distance cone's apex, where the norm
         # gradient is the zero subgradient instead of roundoff-direction noise.
         self.x_ref, self.y_ref = self.positions(np.zeros_like(ref.inputs))
+        # The barrier's sides, (rows of the rolled points, reference, mode):
+        # the observed side always, then the future side unless it is free.
+        # The loss adds their terms in this order.
+        sides = [(slice(0, n_past + 1), self.x_ref, cfg.barrier.observed_mode)]
+        if cfg.barrier.future_mode != "none":
+            sides.append((slice(n_past + 1, None), self.y_ref, cfg.barrier.future_mode))
+        self.sides = tuple(sides)
         self.max_halvings = cfg.max_halvings
         self.gamma = cfg.gamma
-        self.pred_clean = check_deterministic(
-            predictor, tp, scenario.ego_past, scenario.horizon_future)
+        self.pred_clean = check_deterministic(predictor, tp, scenario.horizon_future)
         # collision_fn pins the predictions at delta = 0, which is the rolled
         # reference; with the loss's own forward and reduction the drift
         # starts exactly at its apex.
@@ -256,13 +262,10 @@ class AttackProblem:
                 fut, xs, ys, self.ego_pts, self.clean_mean)
         else:
             raise ConfigError(f"unknown objective {name!r}")
-        term, g = barrier_grad(cfg.barrier.observed_mode, past, self.x_ref, d_max)
-        loss = loss + term
-        g_pts[:n_past + 1] += g
-        if cfg.barrier.future_mode == "traj":
-            term, g = barrier_grad("traj", fut, self.y_ref, d_max)
+        for rows, ref, mode in self.sides:
+            term, g = barrier_grad(mode, pts[rows], ref, d_max)
             loss = loss + term
-            g_pts[n_past + 1:] += g
+            g_pts[rows] += g
         g_pts[:n_past + 1] += predictor_pullback(g_xs, g_ys)
         *_, g_a, g_k = unicycle_scan_pullback(theta, v, controls[:, 1], self.dt,
                                               g_pts[:, 0], g_pts[:, 1])
@@ -288,14 +291,11 @@ class AttackProblem:
         leading shape.
         """
         pts = self._points(delta)
-        n_past = len(self.u_ref)
-        cfg = self.cfg.barrier
-        worst = constraint_distances(pts[..., :n_past + 1, :], self.x_ref,
-                                     cfg.observed_mode).max(axis=-1)
-        if cfg.future_mode != "none" and pts.shape[-2] > n_past + 1:
-            worst = np.maximum(worst, constraint_distances(
-                pts[..., n_past + 1:, :], self.y_ref, cfg.future_mode).max(axis=-1))
-        return worst < cfg.d_max, worst
+        worst = 0.0   # distances are >= 0, so the first side's maximum passes exactly
+        for rows, ref, mode in self.sides:
+            worst = np.maximum(worst, constraint_distances(pts[..., rows, :], ref, mode)
+                               .max(axis=-1))
+        return worst < self.cfg.barrier.d_max, worst
 
 
 def run_attack(scenario, cfg, predictor):
@@ -313,8 +313,7 @@ def run_attack(scenario, cfg, predictor):
     y_pert = Trajectory(fut, scenario.dt, t0_index=1)
     u_pert = ControlSequence(problem.u_ref.inputs + state.delta[:n_past], scenario.dt)
     v_pert = ControlSequence(problem.v_ref.inputs + state.delta[n_past:], scenario.dt)
-    pred_pert = predictor.predict(x_pert, scenario.ego_past,
-                                  horizon=scenario.horizon_future)
+    pred_pert = predictor.predict(x_pert, horizon=scenario.horizon_future)
     diagnostics = {
         "rejections": state.rejections,
         "max_accepted_distance": state.max_accepted_distance,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, hypot_grad
+from .core import ConfigError, DataError, check_numeric_fields, hypot_grad
 
 OBSERVED_MODES = ("time", "time_traj")
 FUTURE_MODES = ("none", "traj")
@@ -42,6 +42,7 @@ class BarrierConfig:
     future_mode: str = "none"
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if not (self.d_max > 0.0):
             raise ConfigError(f"d_max must be positive, got {self.d_max}")
         if self.observed_mode not in OBSERVED_MODES:
@@ -125,13 +126,10 @@ def constraint_distances(points, ref_pts, mode):
     points may stack several trajectories, (..., N, 2); the result is
     (..., M).  mode "time": matched-index displacement per point.  mode
     "time_traj": polyline distance per point plus the matched displacement
-    of the final point.  mode "traj": polyline distance per point.  mode
-    "none": empty.
+    of the final point.  mode "traj": polyline distance per point.
     """
     pts = np.asarray(points, dtype=float)
     ref = np.asarray(ref_pts, dtype=float)
-    if mode == "none":
-        return np.empty(pts.shape[:-2] + (0,))
     if mode == "time":
         return _matched_distances(pts, ref)[1]
     if mode == "traj":

@@ -6,8 +6,17 @@ metrics, report aggregates metric rows into a summary table.  Every run
 writes a manifest (flags, seeds, version) next to its outputs; outputs
 contain no timestamps, so fixed seeds give bitwise identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime
-failure.
+Every attack setting is a field of AttackConfig, BarrierConfig or
+PredictorConfig, which define its name, default and valid range.  attack
+resolves each config in three layers, later ones winning: the dataclass
+defaults (with a_min/a_max from the scenario file's acceleration range),
+the --config file, the flags.  The file holds AttackConfig fields, a
+"barrier" object of BarrierConfig fields and "seed", the predictor seed.
+The constraint modes (--observed, --future) pick one configuration, so
+they need a single objective.
+
+Exit codes: 0 success, 2 configuration error (any invalid or conflicting
+setting), 3 data error, 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -25,11 +35,12 @@ import numpy as np
 
 from . import __version__
 from .attack import AttackConfig, dataset_accel_bounds, run_attack
-from .barriers import BarrierConfig
+from .barriers import FUTURE_MODES, OBSERVED_MODES, BarrierConfig
 from .core import ConfigError, DataError, Trajectory
 from .metrics import (COLUMNS, aggregate, compute_attack_row,
                       compute_baseline_row, read_rows_jsonl, write_rows_csv,
                       write_rows_jsonl)
+from .objectives import OBJECTIVES
 from .predictor import KinematicPredictor, PredictorConfig
 from .scenario_io import (PRESETS, generate_left_turn, ingest_scenarios,
                           sample_left_turn_params, write_scenarios)
@@ -42,9 +53,9 @@ PARALLEL_ENV = "TRAJATTACK_PARALLEL"
 # to its reference would fight the attack itself.
 GRID = tuple(
     (objective, obs, fut)
-    for objective in ("ade", "fde", "collision_fp", "collision_fn")
-    for obs in ("time", "time_traj")
-    for fut in ("none", "traj")
+    for objective in OBJECTIVES
+    for obs in OBSERVED_MODES
+    for fut in FUTURE_MODES
     if not (objective == "collision_fn" and fut == "traj")
 )
 
@@ -95,20 +106,18 @@ def cmd_generate(args):
     return 0
 
 
-def _attack_rows(scenario, grid, base, d_max):
+def _attack_rows(scenario, configs, predictor_cfg):
     """All metric rows (baseline first) for one scenario; runs in workers."""
-    predictor = KinematicPredictor(PredictorConfig(seed=base["seed"]))
+    predictor = KinematicPredictor(predictor_cfg)
     rows = []
     baseline = None
-    for objective, obs, fut in grid:
-        cfg = AttackConfig(objective=objective,
-                           barrier=BarrierConfig(d_max=d_max, observed_mode=obs,
-                                                 future_mode=fut),
-                           **base)
+    for cfg in configs:
         result = run_attack(scenario, cfg, predictor)
         if baseline is None:
             baseline = compute_baseline_row(scenario, result.pred_clean).to_dict()
-        row = compute_attack_row(scenario, result, objective, obs, fut).to_dict()
+        row = compute_attack_row(scenario, result, cfg.objective,
+                                 cfg.barrier.observed_mode,
+                                 cfg.barrier.future_mode).to_dict()
         row.update(
             final_loss=result.diagnostics["final_loss"],
             iterations=result.iterations_run,
@@ -123,19 +132,13 @@ def _attack_rows(scenario, grid, base, d_max):
 
 
 def _row_order(row):
-    objectives = ("unperturbed", "ade", "fde", "collision_fp", "collision_fn")
+    objectives = ("unperturbed",) + OBJECTIVES
     return (row["id"], objectives.index(row["objective"]),
             row["obs_constraint"], row["fut_constraint"])
 
 
-_CFG_KEYS = ("alpha0", "gamma", "max_iterations", "rel_bound_a",
-             "rel_bound_kappa", "abs_bound_kappa", "a_min", "a_max",
-             "max_halvings", "seed")
-_BARRIER_KEYS = ("d_max", "observed_mode", "future_mode")
-
-
-def _load_attack_config(path):
-    """Structured config file; keys mirror AttackConfig fields."""
+def _load_config(path):
+    """The config file's (AttackConfig, BarrierConfig, PredictorConfig) settings."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -145,25 +148,24 @@ def _load_attack_config(path):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(data) - set(_CFG_KEYS) - {"objective", "barrier"}
+    barrier = data.pop("barrier", {})
+    if not isinstance(barrier, dict):
+        raise ConfigError(f"{path}: barrier must be an object of BarrierConfig fields")
+    predictor = {"seed": data.pop("seed")} if "seed" in data else {}
+    return data, barrier, predictor
+
+
+def _resolve(cfg, from_file, from_flags, path):
+    """cfg with the file's settings and then the flags' applied, each layer
+    validated by the dataclass."""
+    unknown = set(from_file) - {f.name for f in dataclasses.fields(cfg)}
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    barrier = data.get("barrier", {})
-    if not isinstance(barrier, dict) or set(barrier) - set(_BARRIER_KEYS):
-        raise ConfigError(f"{path}: barrier must be an object with keys "
-                          f"{list(_BARRIER_KEYS)}")
-    return data
+    return dataclasses.replace(dataclasses.replace(cfg, **from_file), **from_flags)
 
 
-def _norm_mode(mode):
-    return mode.replace("-", "_") if mode is not None else None
-
-
-def _pick(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
+def _given(**flags):
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def cmd_attack(args):
@@ -171,59 +173,51 @@ def cmd_attack(args):
         raise ConfigError(f"--parallel (or ${PARALLEL_ENV}) must be at least 1, "
                           f"got {args.parallel}")
     scenarios = ingest_scenarios(args.scenarios)
-    file_cfg = _load_attack_config(args.config) if args.config else {}
-    barrier_cfg = file_cfg.get("barrier", {})
+    file_attack, file_barrier, file_predictor = (
+        _load_config(args.config) if args.config else ({}, {}, {}))
+    flag_attack = _given(objective=args.objective, alpha0=args.alpha0, gamma=args.gamma,
+                         max_iterations=args.iters, a_min=args.amin, a_max=args.amax)
+    flag_barrier = _given(d_max=args.dmax, observed_mode=args.observed,
+                          future_mode=args.future)
 
-    amin = _pick(args.amin, file_cfg.get("a_min"))
-    amax = _pick(args.amax, file_cfg.get("a_max"))
-    if amin is None or amax is None:
-        episodes = []
-        for s in scenarios:
-            for past, future in ((s.target_past, s.target_future),
-                                 (s.ego_past, s.ego_future)):
-                episodes.append(Trajectory(
-                    np.vstack([past.points, future.points]), s.dt,
-                    t0_index=past.t0_index))
-        ds_lo, ds_hi = dataset_accel_bounds(episodes)
-        a_lo = ds_lo if amin is None else amin
-        a_hi = ds_hi if amax is None else amax
-        bounds_source = "dataset"
-    else:
-        a_lo, a_hi = amin, amax
+    base = AttackConfig(barrier=_resolve(BarrierConfig(), file_barrier, flag_barrier,
+                                         args.config))
+    if {"a_min", "a_max"} <= set(file_attack) | set(flag_attack):
         bounds_source = "explicit"
-    if a_lo >= a_hi:
-        raise ConfigError(f"acceleration bounds collapsed: [{a_lo}, {a_hi}]")
-
-    base = {
-        "alpha0": _pick(args.alpha0, file_cfg.get("alpha0"), 0.01),
-        "gamma": _pick(args.gamma, file_cfg.get("gamma"), 0.99),
-        "max_iterations": _pick(args.iters, file_cfg.get("max_iterations"), 100),
-        "rel_bound_a": file_cfg.get("rel_bound_a", 2.0),
-        "rel_bound_kappa": file_cfg.get("rel_bound_kappa", 0.05),
-        "abs_bound_kappa": file_cfg.get("abs_bound_kappa", 0.2),
-        "max_halvings": file_cfg.get("max_halvings", 30),
-        "seed": _pick(args.seed, file_cfg.get("seed"), 0),
-        "a_min": a_lo, "a_max": a_hi,
-    }
-    d_max = _pick(args.dmax, barrier_cfg.get("d_max"), 0.9)
-
-    objective = _pick(args.objective, file_cfg.get("objective"))
-    if args.grid and objective is not None:
-        raise ConfigError("--grid conflicts with a single-objective selection")
-    if args.grid or objective is None:
-        grid = GRID
     else:
-        grid = ((objective,
-                 _norm_mode(_pick(args.observed,
-                                  barrier_cfg.get("observed_mode"), "time")),
-                 _pick(args.future, barrier_cfg.get("future_mode"), "none")),)
+        episodes = [Trajectory(np.vstack([past.points, future.points]), s.dt,
+                               t0_index=past.t0_index)
+                    for s in scenarios
+                    for past, future in ((s.target_past, s.target_future),
+                                         (s.ego_past, s.ego_future))]
+        a_min, a_max = dataset_accel_bounds(episodes)
+        base = dataclasses.replace(base, a_min=a_min, a_max=a_max)
+        bounds_source = "dataset"
+    cfg = _resolve(base, file_attack, flag_attack, args.config)
+    if cfg.a_min >= cfg.a_max:
+        raise ConfigError(f"acceleration bounds collapsed: [{cfg.a_min}, {cfg.a_max}]")
+    predictor_cfg = _resolve(PredictorConfig(), file_predictor, _given(seed=args.seed),
+                             args.config)
 
-    jobs = [(s, grid, base, d_max) for s in scenarios]
+    if "objective" in file_attack or "objective" in flag_attack:
+        if args.grid:
+            raise ConfigError("--grid conflicts with a single-objective selection")
+        configs = [cfg]
+    else:
+        modes = {"observed_mode", "future_mode"} & (set(file_barrier) | set(flag_barrier))
+        if modes:
+            raise ConfigError(f"{', '.join(sorted(modes))} picks one grid configuration "
+                              "and needs a single objective (--objective)")
+        configs = [dataclasses.replace(cfg, objective=objective, barrier=dataclasses.replace(
+                       cfg.barrier, observed_mode=obs, future_mode=fut))
+                   for objective, obs, fut in GRID]
+
     if args.parallel > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            per_scenario = list(pool.map(_attack_rows_job, jobs))
+            per_scenario = list(pool.map(_attack_rows, scenarios, itertools.repeat(configs),
+                                         itertools.repeat(predictor_cfg)))
     else:
-        per_scenario = [_attack_rows_job(job) for job in jobs]
+        per_scenario = [_attack_rows(s, configs, predictor_cfg) for s in scenarios]
     rows = sorted((row for rows in per_scenario for row in rows), key=_row_order)
 
     jsonl_path = f"{args.out}.jsonl"
@@ -233,17 +227,17 @@ def cmd_attack(args):
     manifest = _write_manifest(args.out, {
         "command": "attack", "scenarios": args.scenarios,
         "config_file": args.config,
-        "grid": [list(g) for g in grid], "attack_config": base,
-        "d_max": d_max, "accel_bounds_source": bounds_source,
+        "grid": [[c.objective, c.barrier.observed_mode, c.barrier.future_mode]
+                 for c in configs],
+        "attack_config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                          if f.name not in ("objective", "barrier")},
+        "d_max": cfg.barrier.d_max, "predictor_seed": predictor_cfg.seed,
+        "accel_bounds_source": bounds_source,
         "parallel": args.parallel, "n_scenarios": len(scenarios),
         "outputs": [jsonl_path, csv_path],
     })
     print(f"wrote {len(rows)} rows to {jsonl_path} and {csv_path} ({manifest})")
     return 0
-
-
-def _attack_rows_job(job):
-    return _attack_rows(*job)
 
 
 def _format_table(dicts):
@@ -326,15 +320,15 @@ def build_parser():
     att.add_argument("--out", required=True, help="output prefix")
     att.add_argument("--grid", action="store_true",
                      help="run the full objective/constraint grid (the default)")
-    att.add_argument("--objective", choices=("ade", "fde", "collision_fp",
-                                             "collision_fn"), default=None,
+    att.add_argument("--objective", choices=OBJECTIVES, default=None,
                      help="single objective instead of the full grid")
-    att.add_argument("--observed", choices=("time", "time-traj", "time_traj"),
-                     default=None, help="observed constraint for --objective runs")
-    att.add_argument("--future", choices=("none", "traj"), default=None,
+    att.add_argument("--observed", choices=OBSERVED_MODES, default=None,
+                     help="observed constraint for --objective runs")
+    att.add_argument("--future", choices=FUTURE_MODES, default=None,
                      help="future constraint for --objective runs")
     att.add_argument("--config", default=None,
-                     help="JSON config file with AttackConfig fields")
+                     help="JSON file: AttackConfig fields, a 'barrier' object of "
+                          "BarrierConfig fields and the predictor 'seed'")
     att.add_argument("--alpha0", type=float, default=None)
     att.add_argument("--gamma", type=float, default=None)
     att.add_argument("--iters", type=int, default=None)

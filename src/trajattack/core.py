@@ -10,7 +10,8 @@ are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +32,20 @@ class GenerationError(ConfigError):
 
 class PredictorError(RuntimeError):
     """Predictor contract violation (e.g. nondeterministic output)."""
+
+
+def check_numeric_fields(config):
+    """Require every int/float field of a config dataclass to hold a finite
+    number of its kind; a bool is neither, and an int field takes no float."""
+    for f in fields(config):
+        if f.type not in ("int", "float"):
+            continue
+        value = getattr(config, f.name)
+        kind = numbers.Integral if f.type == "int" else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind) \
+                or not math.isfinite(value):
+            raise ConfigError(f"{type(config).__name__}.{f.name} must be a finite "
+                              f"{f.type}, got {value!r}")
 
 
 def wrap_angle(theta):
@@ -86,37 +101,22 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class AgentState:
-    """Kinematic state (x, y, heading, signed speed, direction flag).
+    """Kinematic state (x, y, heading, signed speed).
 
-    direction is +1 for forward travel and -1 for reverse; heading is
-    normalized to (-pi, pi] on construction.
+    A negative speed is reverse travel; heading is normalized to (-pi, pi]
+    on construction.
     """
 
     x: float
     y: float
     theta: float
     v: float
-    direction: int = 1
 
     def __post_init__(self):
         for name in ("x", "y", "theta", "v"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"AgentState.{name} is not finite")
-        if self.direction not in (-1, 1):
-            raise DataError(f"AgentState.direction must be +1 or -1, got {self.direction}")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
-
-
-@dataclass(frozen=True)
-class ControlInput:
-    """One control step: longitudinal acceleration a and curvature kappa."""
-
-    a: float
-    kappa: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.kappa)):
-            raise DataError("ControlInput must be finite")
 
 
 @dataclass(frozen=True)
@@ -150,29 +150,6 @@ class ControlSequence:
     @property
     def kappa(self):
         return self.inputs[:, 1]
-
-    def control(self, i):
-        return ControlInput(float(self.inputs[i, 0]), float(self.inputs[i, 1]))
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """Additive control perturbation, same layout as ControlSequence.inputs."""
-
-    delta: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.delta, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise DataError(f"Perturbation: expected (N, 2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("Perturbation: non-finite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "delta", arr)
-
-    def __len__(self):
-        return len(self.delta)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def extract_controls(traj):
     ys = traj.points[:, 1]
     theta, v, *_ = inverse_states(xs, ys, traj.dt)
     accels, kappas = state_controls(theta, v, traj.dt)
-    s0 = AgentState(float(xs[0]), float(ys[0]), float(theta[0]), float(v[0]), 1)
+    s0 = AgentState(float(xs[0]), float(ys[0]), float(theta[0]), float(v[0]))
     return s0, ControlSequence(np.column_stack([accels, kappas]), traj.dt)
 
 

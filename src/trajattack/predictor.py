@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, PredictionSet, PredictorError
+from .core import ConfigError, DataError, PredictionSet, PredictorError, check_numeric_fields
 from .dynamics import (V_EPS, inverse_states, inverse_states_pullback, state_controls,
                        unicycle_scan, unicycle_scan_pullback)
 
@@ -39,12 +39,15 @@ class PredictorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if self.n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.noise_scale_a < 0.0 or self.noise_scale_kappa < 0.0:
             raise ConfigError("noise scales must be >= 0")
         if self.smoothing_window < 2:
             raise ConfigError(f"smoothing_window must be >= 2, got {self.smoothing_window}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class KinematicPredictor:
@@ -112,22 +115,19 @@ class KinematicPredictor:
 
         return (x[1:], y[1:]), pullback
 
-    def predict(self, past_target, past_ego=None, *, horizon):
+    def predict(self, past_target, *, horizon):
         """Predict a PredictionSet for the target from its observed past.
 
-        past_ego is accepted for interface parity and ignored by this
-        surrogate.  Deterministic: same inputs and seed give bitwise
-        identical samples.
+        Deterministic: same inputs and seed give bitwise identical samples.
         """
-        del past_ego
         (xs, ys), _ = self.predict_vjp(past_target.points, past_target.dt, horizon)
         return PredictionSet(np.stack([xs.T, ys.T], axis=-1), past_target.dt)
 
 
-def check_deterministic(predictor, past_target, past_ego, horizon):
+def check_deterministic(predictor, past_target, horizon):
     """Call the predictor twice and require bitwise identical output."""
-    first = predictor.predict(past_target, past_ego, horizon=horizon)
-    second = predictor.predict(past_target, past_ego, horizon=horizon)
+    first = predictor.predict(past_target, horizon=horizon)
+    second = predictor.predict(past_target, horizon=horizon)
     if not np.array_equal(first.samples, second.samples):
         raise PredictorError(f"predictor {predictor.name!r} is not deterministic")
     return first

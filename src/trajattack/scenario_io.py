@@ -102,7 +102,7 @@ def _constant_ego(params, y_at_zero, n_points):
     """Ego episode points: constant speed south along x = -1.75."""
     start = AgentState(-LANE_HALF_WIDTH,
                        y_at_zero + params.v_ego * (params.H - 1) * params.dt,
-                       -0.5 * math.pi, params.v_ego, 1)
+                       -0.5 * math.pi, params.v_ego)
     controls = ControlSequence(np.zeros((n_points - 1, 2)), params.dt)
     return rollout(start, controls).points
 
@@ -168,7 +168,7 @@ def generate_left_turn(params, seed=0):
     if n_adj:
         controls[:n_adj, 0] = -dv / (n_adj * p.dt)
     controls[k_turn:, 1] = kappa
-    start = AgentState(LANE_HALF_WIDTH, 0.0, 0.5 * math.pi, v_start, 1)
+    start = AgentState(LANE_HALF_WIDTH, 0.0, 0.5 * math.pi, v_start)
     tgt = rollout(start, ControlSequence(controls, p.dt)).points.copy()
     # pin the turn-entry point so the arc crosses the ego lane near y = +1.75
     tgt[:, 1] += (LANE_HALF_WIDTH - p.turn_radius * math.sin(phi_cross)

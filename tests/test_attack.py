@@ -50,6 +50,19 @@ class TestAttackConfig:
             AttackConfig(**kwargs)
 
 
+@pytest.mark.parametrize("config, kwargs", [
+    (AttackConfig, {"a_min": math.nan}),
+    (AttackConfig, {"max_iterations": 2.5}),
+    (AttackConfig, {"max_iterations": True}),
+    (AttackConfig, {"alpha0": "0.01"}),
+    (BarrierConfig, {"d_max": math.inf}),
+    (PredictorConfig, {"noise_scale_a": math.nan}),
+])
+def test_config_rejects_non_finite_and_mistyped_numbers(config, kwargs):
+    with pytest.raises(ConfigError):
+        config(**kwargs)
+
+
 class TestControlBox:
     def test_relative_bound_when_far_from_limits(self):
         cfg = AttackConfig(a_min=-9.0, a_max=9.0)
@@ -308,6 +321,23 @@ class TestRunAttack:
 
 
 BARRIER_FORMS = (("time", "none"), ("time_traj", "none"), ("time", "traj"))
+
+
+def test_future_none_constrains_nothing():
+    """A free future adds no constrained distance: moving only the future
+    keeps every candidate feasible, while the traj future rejects it."""
+    scenario = generate_left_turn(sample_left_turn_params(np.random.default_rng(21)),
+                                  seed=21)
+    predictor = KinematicPredictor(PredictorConfig(n_samples=4))
+    problems = {fut: AttackProblem(scenario, AttackConfig(
+                    a_min=-4.0, a_max=4.0, barrier=BarrierConfig(future_mode=fut)), predictor)
+                for fut in ("none", "traj")}
+    n_past = len(problems["none"].u_ref)
+    cands = np.zeros((3, problems["none"].n_controls, 2))
+    cands[:, n_past:, 1] = np.array([0.1, 0.2, 0.3])[:, None]
+    ok, worst = problems["none"].feasibility(cands)
+    assert ok.all() and not worst.any()
+    assert not problems["traj"].feasibility(cands)[0].any()
 
 
 @pytest.mark.parametrize("barrier", [("time", "none"), ("time_traj", "traj")])

@@ -159,9 +159,6 @@ class TestTrajectoryBarriers:
 
 
 class TestConstraintDistances:
-    def test_none_is_empty(self):
-        assert constraint_distances(STRAIGHT, STRAIGHT, "none").size == 0
-
     def test_time_matches_pointwise(self):
         moved = [(x + 0.3, y + 0.4) for x, y in STRAIGHT]
         d = constraint_distances(moved, STRAIGHT, "time")
@@ -190,7 +187,7 @@ class TestConstraintDistances:
         with pytest.raises(ConfigError):
             constraint_distances(STRAIGHT, STRAIGHT, "future")
 
-    @pytest.mark.parametrize("mode", ["none", "time", "traj", "time_traj"])
+    @pytest.mark.parametrize("mode", ["time", "traj", "time_traj"])
     def test_stacked_equals_one_at_a_time(self, mode):
         rng = np.random.default_rng(11)
         stack = np.asarray(STRAIGHT) + rng.uniform(-0.5, 0.5, (3, 4, len(STRAIGHT), 2))

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import trajattack
+from trajattack.attack import AttackConfig
+from trajattack.barriers import BarrierConfig
 from trajattack.cli import GRID, PARALLEL_ENV, _stable_seed, main
 from trajattack.metrics import read_rows_jsonl
+from trajattack.predictor import PredictorConfig
 
 
 def run(*argv):
@@ -83,8 +87,9 @@ class TestAttack:
     def test_grid_emits_all_configurations(self, scene_file, tmp_path):
         out = tmp_path / "grid"
         assert run("attack", "--scenarios", scene_file, "--out", out,
-                   "--grid", "--iters", 2) == 0
+                   "--grid", "--iters", 2, "--dmax", 0.8) == 0
         rows, _ = read_rows_jsonl(f"{out}.jsonl")
+        assert json.loads((tmp_path / "grid.manifest.json").read_text())["d_max"] == 0.8
         assert len(GRID) == 14
         assert len(rows) == 3 * (len(GRID) + 1)
         combos = {(r.objective, r.obs_constraint, r.fut_constraint)
@@ -147,6 +152,58 @@ class TestAttack:
                    "--config", cfg, "--iters", 1) == 0
         manifest = json.loads((tmp_path / "over.manifest.json").read_text())
         assert manifest["attack_config"]["max_iterations"] == 1
+
+    @pytest.mark.parametrize("flags, file_cfg", [
+        (["--amin", "nan", "--iters", 2], None),
+        (["--dmax", "inf", "--iters", 2], None),
+        (["--alpha0", "inf", "--iters", 2], None),
+        ([], {"alpha0": "x"}),
+        ([], {"max_halvings": 2.0}),
+        ([], {"seed": 1.5}),
+        ([], {"barrier": {"d_max": "0.5"}}),
+        ([], {"max_iterations": "5"}),
+        ([], {"max_iterations": True}),
+    ], ids=["amin-nan", "dmax-inf", "alpha0-inf", "file-alpha0-str", "file-halvings-float",
+            "file-seed-float", "file-dmax-str", "file-iterations-str", "file-iterations-bool"])
+    def test_invalid_setting_is_config_error(self, scene_file, tmp_path, flags, file_cfg):
+        if file_cfg is not None:
+            (tmp_path / "attack.json").write_text(json.dumps(file_cfg))
+            flags = [*flags, "--config", tmp_path / "attack.json"]
+        assert run("attack", "--scenarios", scene_file, "--out", tmp_path / "x",
+                   "--objective", "ade", *flags) == 2
+        assert not (tmp_path / "x.manifest.json").exists()
+
+    @pytest.mark.parametrize("flags, barrier", [
+        (["--observed", "time_traj"], None),
+        (["--future", "traj"], None),
+        (["--grid", "--observed", "time"], None),
+        ([], {"observed_mode": "time_traj"}),
+        ([], {"future_mode": "none"}),
+    ], ids=["observed", "future", "grid-observed", "file-observed", "file-future"])
+    def test_constraint_mode_without_objective_is_config_error(
+            self, scene_file, tmp_path, flags, barrier):
+        if barrier is not None:
+            (tmp_path / "attack.json").write_text(json.dumps({"barrier": barrier}))
+            flags = [*flags, "--config", tmp_path / "attack.json"]
+        assert run("attack", "--scenarios", scene_file, "--out", tmp_path / "x",
+                   "--iters", 1, *flags) == 2
+        assert not (tmp_path / "x.manifest.json").exists()
+
+    def test_manifest_of_flagless_run_holds_the_defaults(self, scene_file, tmp_path):
+        assert run("attack", "--scenarios", scene_file, "--out", tmp_path / "d",
+                   "--objective", "ade") == 0
+        manifest = json.loads((tmp_path / "d.manifest.json").read_text())
+        defaults = dataclasses.asdict(AttackConfig())
+        for key in ("objective", "barrier", "a_min", "a_max"):
+            del defaults[key]
+        recorded = manifest["attack_config"]
+        assert set(recorded) == set(defaults) | {"a_min", "a_max"}
+        assert {k: recorded[k] for k in defaults} == defaults
+        assert manifest["accel_bounds_source"] == "dataset"
+        barrier = BarrierConfig()
+        assert manifest["d_max"] == barrier.d_max
+        assert manifest["grid"] == [["ade", barrier.observed_mode, barrier.future_mode]]
+        assert manifest["predictor_seed"] == PredictorConfig().seed
 
     def test_unknown_config_key_is_config_error(self, scene_file, tmp_path):
         cfg = tmp_path / "attack.json"

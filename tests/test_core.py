@@ -7,7 +7,7 @@ import pytest
 
 from oracles import box_overlap_oracle, segment_distance_bruteforce
 from trajattack.barriers import constraint_distances
-from trajattack.core import (AgentState, ControlInput, ControlSequence,
+from trajattack.core import (AgentState, ControlSequence,
                              DataError, PredictionSet, Scenario, Trajectory,
                              box_overlap_mask, wrap_angle)
 
@@ -70,7 +70,6 @@ class TestControlSequence:
         seq = ControlSequence(np.array([[1.0, 0.1], [2.0, -0.2]]), 0.1)
         assert seq.a.tolist() == [1.0, 2.0]
         assert seq.kappa.tolist() == [0.1, -0.2]
-        assert seq.control(1) == ControlInput(2.0, -0.2)
         assert len(seq) == 2
 
 

@@ -55,7 +55,7 @@ class TestPhiForward:
         assert rev[3] < 0 and rev[0] < 0.0 and rev[2] == 0.0
 
     def test_zero_speed_keeps_direction(self):
-        x, y, theta, v = one_step(AgentState(0, 0, 0.4, 1, direction=-1), -10, 0)
+        x, y, theta, v = one_step(AgentState(0, 0, 0.4, 1), -10, 0)
         assert v == 0.0
         assert (x, y, theta) == (0.0, 0.0, 0.4)
 
@@ -75,7 +75,6 @@ class TestExtractInitialState:
         s, _ = extract_controls(make_trajectory([(0.0, 0.0), (-0.1, 0.0)]))
         assert math.isclose(s.v, 1.0, abs_tol=1e-12)
         assert math.isclose(s.theta, math.pi, abs_tol=1e-12)
-        assert s.direction == 1
 
 
 def travel_signs(points):

@@ -30,6 +30,7 @@ class TestPredictorConfig:
         {"noise_scale_a": -0.1},
         {"noise_scale_kappa": -1e-9},
         {"smoothing_window": 1},
+        {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -109,8 +110,7 @@ class TestDeterminism:
         assert np.array_equal(a.samples, b.samples)
 
     def test_check_deterministic_passes(self, predictor, left_turn):
-        out = check_deterministic(predictor, left_turn.target_past,
-                                  left_turn.ego_past, horizon=12)
+        out = check_deterministic(predictor, left_turn.target_past, horizon=12)
         assert out.samples.shape[0] == 100
 
     def test_fresh_instance_same_seed_matches(self, left_turn):
