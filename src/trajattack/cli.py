@@ -107,28 +107,15 @@ def cmd_generate(args):
 
 
 def _attack_rows(scenario, configs, predictor_cfg):
-    """All metric rows (baseline first) for one scenario; runs in workers."""
+    """All rows (baseline first) for one scenario; runs in workers."""
     predictor = KinematicPredictor(predictor_cfg)
     rows = []
-    baseline = None
     for cfg in configs:
         result = run_attack(scenario, cfg, predictor)
-        if baseline is None:
-            baseline = compute_baseline_row(scenario, result.pred_clean).to_dict()
-        row = compute_attack_row(scenario, result, cfg.objective,
-                                 cfg.barrier.observed_mode,
-                                 cfg.barrier.future_mode).to_dict()
-        row.update(
-            final_loss=result.diagnostics["final_loss"],
-            iterations=result.iterations_run,
-            halvings=result.halving_events,
-            rejections=result.diagnostics["rejections"],
-            max_accepted_distance=result.diagnostics["max_accepted_distance"],
-            max_box_excess=result.diagnostics["max_box_excess"],
-            empty_box_entries=result.diagnostics["empty_box_entries"],
-        )
-        rows.append(row)
-    return [baseline] + rows if baseline is not None else rows
+        if not rows:
+            rows.append(compute_baseline_row(scenario, result.pred_clean))
+        rows.append(compute_attack_row(scenario, result, cfg))
+    return rows
 
 
 def _row_order(row):
@@ -252,19 +239,17 @@ def _format_table(dicts):
 
 
 def cmd_report(args):
-    rows, _ = read_rows_jsonl(args.results)
+    rows = read_rows_jsonl(args.results)
     groups = {}
     for row in rows:
-        groups.setdefault((row.objective, row.obs_constraint, row.fut_constraint),
+        groups.setdefault((row["objective"], row["obs_constraint"], row["fut_constraint"]),
                           []).append(row)
-    order = [("unperturbed", "-", "-")] + [g for g in GRID]
+    order = [("unperturbed", "-", "-"), *GRID]
     keys = [k for k in order if k in groups]
     keys += sorted(k for k in groups if k not in order)
-    out_rows = []
-    for key in keys:
-        agg = aggregate(groups[key])
-        label = "unperturbed" if key[0] == "unperturbed" else "/".join(key)
-        out_rows.append(dataclasses.replace(agg, id=label).to_dict())
+    out_rows = [{**aggregate(groups[key]),
+                 "id": "unperturbed" if key[0] == "unperturbed" else "/".join(key)}
+                for key in keys]
     jsonl_path = f"{args.out}.jsonl"
     csv_path = f"{args.out}.csv"
     write_rows_jsonl(jsonl_path, out_rows)

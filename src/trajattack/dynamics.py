@@ -10,7 +10,10 @@ is estimated from the first displacement (motion is assumed constant over
 the first two steps), the first recovered control of any trajectory is
 identically zero; position roundtrips are exact regardless.  Speed keeps
 its sign through reversals: a displacement pointing against the current
-heading flips the speed sign rather than the heading.
+heading flips the speed sign rather than the heading.  The heading cannot
+change at zero speed, so a vehicle at rest faces where it next moves; a
+start at rest or a stop mid-run round-trips too.  A speed that misses zero
+by roundoff does not: its next step has a rounding-error direction.
 
 Both directions run on arrays: unicycle_scan is the forward model and
 inverse_states the inverse, and each has its reverse-mode derivative
@@ -112,11 +115,14 @@ def inverse_states(xs, ys, dt):
 
     Returns (theta, v, vx, vy, sign): theta and v have one entry per point;
     vx, vy are the step velocities and sign the direction of travel per
-    step (0 for a stationary step, whose heading carries over).  The start
-    state reads the first step.  A step is forward when it lies within a
-    quarter turn of the current heading; otherwise the speed turns negative
-    and the heading stays on the vehicle's axis, so a reversal never
-    inflates the extracted curvature.
+    step (0 for a stationary step).  The start state reads the first step.
+    A step is forward when it lies within a quarter turn of the current
+    heading; otherwise the speed turns negative and the heading stays on
+    the vehicle's axis, so a reversal never inflates the extracted
+    curvature.  The forward model cannot turn at zero speed, so a state at
+    rest faces the next moving step, judged ahead or reverse against the
+    heading before the stop; a start at rest faces that step, and only a
+    trailing stop keeps the heading it stopped with.
     """
     n = len(xs)
     if n < 2:
@@ -125,27 +131,24 @@ def inverse_states(xs, ys, dt):
     vy = (ys[1:] - ys[:-1]) / dt
     vxl = vx.tolist()
     vyl = vy.tolist()
-    theta = np.empty(n)
-    v = np.empty(n)
+    theta = np.zeros(n)
+    v = np.zeros(n)
     sign = np.zeros(n - 1)
-    if vxl[0] == 0.0 and vyl[0] == 0.0:
-        th = sp = 0.0
-    else:
-        th = math.atan2(vyl[0], vxl[0])
-        sp = math.hypot(vxl[0], vyl[0])
-    theta[0] = th
-    v[0] = sp
+    th = None      # the heading before the current stop; none before the start
+    rest = 0       # the first state that waits for the next moving step
     for t in range(n - 1):
         if vxl[t] == 0.0 and vyl[t] == 0.0:
-            sp = 0.0
-        else:
-            ahead = abs(wrap_angle(math.atan2(vyl[t], vxl[t]) - th)) <= _HALF_PI
-            d = 1.0 if ahead else -1.0
-            sp = math.hypot(vxl[t], vyl[t]) * d
-            th = math.atan2(vyl[t] * d, vxl[t] * d)
-            sign[t] = d
-        theta[t + 1] = th
-        v[t + 1] = sp
+            continue
+        ahead = th is None or abs(wrap_angle(math.atan2(vyl[t], vxl[t]) - th)) <= _HALF_PI
+        d = 1.0 if ahead else -1.0
+        th = math.atan2(vyl[t] * d, vxl[t] * d)
+        theta[rest:t + 2] = th
+        v[t + 1] = math.hypot(vxl[t], vyl[t]) * d
+        sign[t] = d
+        rest = t + 2
+    if th is not None:
+        theta[rest:] = th
+    v[0] = v[1]
     return theta, v, vx, vy, sign
 
 
@@ -167,12 +170,15 @@ def inverse_states_pullback(vx, vy, sign, dt, g_theta, g_v):
 
     g_theta and g_v are adjoints of the per-point states.  Returns the
     adjoints of xs and ys.  Constant states (the speed of a stationary
-    step, a start at rest) take no adjoint; a stationary step hands its
-    heading adjoint to the state before it.
+    step, a start at rest) take no adjoint; the heading of a start at rest
+    takes none either, because the curvature that reads it lies in the
+    V_EPS dead band.  A later state at rest hands its heading adjoint to the
+    next moving step, or, in a trailing stop, to the state before it.
     """
     g_theta = np.array(g_theta, dtype=float)
-    for t in np.flatnonzero(sign == 0.0)[::-1]:
-        g_theta[t] += g_theta[t + 1]
+    for t in np.flatnonzero(sign == 0.0)[::-1].tolist():
+        ahead = np.flatnonzero(sign[t:])
+        g_theta[t + ahead[0] + 1 if ahead.size else t] += g_theta[t + 1]
     dir_x, dir_y = hypot_grad(vx, vy, np.hypot(vx, vy))
     r2 = vx * vx + vy * vy
     inv_r2 = np.divide(1.0, r2, out=np.zeros_like(r2), where=r2 != 0.0)

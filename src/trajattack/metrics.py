@@ -1,23 +1,26 @@
-"""Evaluation metrics and report tables.
+"""Evaluation metrics and the report row format.
 
 Prediction quality (ADE/FDE) is measured against the unperturbed ground
 truth future.  Collision rates test oriented vehicle footprints at
 matched time indices; box headings come from finite position differences,
 the first future step using the segment from the last observed point.
-Perturbation magnitude is reported as displacement of the observed
-trajectory (D_max, D_mean) and as mean absolute perturbed past controls
-(a_mag, k_mag).
+CR_pred runs the collision kernel on the K predicted samples and CR_FNC
+on the perturbed future as a single sample.  Perturbation magnitude is
+reported as displacement of the observed trajectory (D_max, D_mean) and
+as mean absolute perturbed past controls (a_mag, k_mag).
 
-A report row carries one metric set per scenario/configuration; rows
-serialize to CSV or JSON lines with a fixed column order and aggregate
-by arithmetic column means (CR_FNC only over rows that have it).
+This module owns the row format.  A row is a dict: the COLUMNS (labels,
+then metrics) and, for an attack row, the attack's DIAGNOSTICS after
+them.  Rows serialize to JSON lines and to CSV, whose header is every
+key of every row, COLUMNS first, and aggregate by arithmetic column
+means (CR_FNC only over rows that have it).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -27,6 +30,9 @@ from .dynamics import extract_controls
 COLUMNS = ("id", "objective", "obs_constraint", "fut_constraint",
            "ADE", "FDE", "CR_pred", "CR_FNC", "D_max", "D_mean",
            "a_mag", "k_mag")
+DIAGNOSTICS = ("final_loss", "iterations", "halvings", "rejections",
+               "max_accepted_distance", "max_box_excess", "empty_box_entries")
+_METRICS = COLUMNS[4:]
 
 
 def metric_ade(pred, y_tar):
@@ -68,124 +74,58 @@ def _headings(points, prev_point=None):
     return head
 
 
-def metric_cr_pred(pred, y_ego, length, width, target_prev=None, ego_prev=None):
-    """Fraction of samples whose footprint ever overlaps the ego footprint.
+def collision_rate(samples, ego, length, width, target_prev=None, ego_prev=None):
+    """Fraction of the (K, T, 2) samples whose footprint ever overlaps the
+    footprint of the (T, 2) ego positions.
 
     Overlap is tested at matched time indices.  target_prev / ego_prev are
     the last observed positions, used for the first-step headings.
     """
-    if pred.horizon != len(y_ego):
-        raise DataError("metric_cr_pred: horizon mismatch")
-    k, t = pred.samples.shape[:2]
-    sample_head = _headings(pred.samples, target_prev)
-    ego_head = _headings(y_ego.points, ego_prev)
-    ego_centers = np.broadcast_to(y_ego.points, (k, t, 2))
-    ego_heads = np.broadcast_to(ego_head, (k, t))
-    hit = box_overlap_mask(pred.samples.reshape(-1, 2), sample_head.ravel(),
-                           ego_centers.reshape(-1, 2), ego_heads.ravel(),
-                           length, width).reshape(k, t)
+    if samples.shape[1] != len(ego):
+        raise DataError("collision_rate: horizon mismatch")
+    hit = box_overlap_mask(samples, _headings(samples, target_prev),
+                           ego, _headings(ego, ego_prev), length, width)
     return float(hit.any(axis=1).mean())
 
 
-def metric_cr_fnc(y_pert, y_ego, length, width, target_prev=None, ego_prev=None):
-    """1.0 if the perturbed future ever overlaps the ego footprint, else 0.0."""
-    if len(y_pert) != len(y_ego):
-        raise DataError("metric_cr_fnc: horizon mismatch")
-    head_t = _headings(y_pert.points, target_prev)
-    head_e = _headings(y_ego.points, ego_prev)
-    hit = box_overlap_mask(y_pert.points, head_t, y_ego.points, head_e,
-                           length, width)
-    return float(hit.any())
+def _row(scenario, labels, pred, x, u, y_fnc):
+    """The COLUMNS of one row: labels, then the metrics of predictions pred
+    from the observed past x with past controls u; CR_FNC tests the future
+    y_fnc, None where it does not apply."""
+    ego = scenario.ego_future.points
+    box = (scenario.vehicle_length, scenario.vehicle_width,
+           x.points[-1], scenario.ego_past.points[-1])
+    shift = np.linalg.norm(x.points - scenario.target_past.points, axis=1)
+    return {
+        "id": scenario.id,
+        **dict(zip(COLUMNS[1:4], labels)),
+        "ADE": metric_ade(pred, scenario.target_future),
+        "FDE": metric_fde(pred, scenario.target_future),
+        "CR_pred": collision_rate(pred.samples, ego, *box),
+        "CR_FNC": None if y_fnc is None else collision_rate(y_fnc.points[None], ego, *box),
+        "D_max": float(shift.max()),
+        "D_mean": float(shift.mean()),
+        "a_mag": float(np.abs(u.a).mean()),
+        "k_mag": float(np.abs(u.kappa).mean()),
+    }
 
 
-def metric_dmax(x_pert, x_tar):
-    """Largest displacement of the observed trajectory."""
-    return float(np.linalg.norm(x_pert.points - x_tar.points, axis=1).max())
-
-
-def metric_dmean(x_pert, x_tar):
-    """Mean displacement of the observed trajectory."""
-    return float(np.linalg.norm(x_pert.points - x_tar.points, axis=1).mean())
-
-
-def metric_accel(u_pert):
-    """Mean absolute perturbed past acceleration."""
-    return float(np.abs(u_pert.a).mean())
-
-
-def metric_curv(u_pert):
-    """Mean absolute perturbed past curvature."""
-    return float(np.abs(u_pert.kappa).mean())
-
-
-@dataclass(frozen=True)
-class MetricRow:
-    """One report line; CR_FNC is None for rows it does not apply to."""
-
-    id: str
-    objective: str
-    obs_constraint: str
-    fut_constraint: str
-    ADE: float
-    FDE: float
-    CR_pred: float
-    CR_FNC: float | None
-    D_max: float
-    D_mean: float
-    a_mag: float
-    k_mag: float
-
-    def to_dict(self):
-        return {name: getattr(self, name) for name in COLUMNS}
-
-
-def compute_attack_row(scenario, result, objective, obs_constraint, fut_constraint):
-    """Metric row for one finished attack."""
-    tgt_prev = result.x_pert.points[-1]
-    ego_prev = scenario.ego_past.points[-1]
-    cr_fnc = None
-    if objective == "collision_fn":
-        cr_fnc = metric_cr_fnc(result.y_pert, scenario.ego_future,
-                               scenario.vehicle_length, scenario.vehicle_width,
-                               target_prev=tgt_prev, ego_prev=ego_prev)
-    return MetricRow(
-        id=scenario.id,
-        objective=objective,
-        obs_constraint=obs_constraint,
-        fut_constraint=fut_constraint,
-        ADE=metric_ade(result.pred_pert, scenario.target_future),
-        FDE=metric_fde(result.pred_pert, scenario.target_future),
-        CR_pred=metric_cr_pred(result.pred_pert, scenario.ego_future,
-                               scenario.vehicle_length, scenario.vehicle_width,
-                               target_prev=tgt_prev, ego_prev=ego_prev),
-        CR_FNC=cr_fnc,
-        D_max=metric_dmax(result.x_pert, scenario.target_past),
-        D_mean=metric_dmean(result.x_pert, scenario.target_past),
-        a_mag=metric_accel(result.u_pert),
-        k_mag=metric_curv(result.u_pert),
-    )
+def compute_attack_row(scenario, result, cfg):
+    """Row of one finished attack: its metrics, then its DIAGNOSTICS."""
+    barrier = cfg.barrier
+    row = _row(scenario, (cfg.objective, barrier.observed_mode, barrier.future_mode),
+               result.pred_pert, result.x_pert, result.u_pert,
+               result.y_pert if cfg.objective == "collision_fn" else None)
+    diagnostics = {**result.diagnostics, "iterations": result.iterations_run,
+                   "halvings": result.halving_events}
+    return {**row, **{key: diagnostics[key] for key in DIAGNOSTICS}}
 
 
 def compute_baseline_row(scenario, pred_clean):
-    """Metric row of the identity perturbation (clean predictions)."""
+    """Row of the identity perturbation (clean predictions): metrics only."""
     _, u_tar = extract_controls(scenario.target_past)
-    return MetricRow(
-        id=scenario.id,
-        objective="unperturbed",
-        obs_constraint="-",
-        fut_constraint="-",
-        ADE=metric_ade(pred_clean, scenario.target_future),
-        FDE=metric_fde(pred_clean, scenario.target_future),
-        CR_pred=metric_cr_pred(pred_clean, scenario.ego_future,
-                               scenario.vehicle_length, scenario.vehicle_width,
-                               target_prev=scenario.target_past.points[-1],
-                               ego_prev=scenario.ego_past.points[-1]),
-        CR_FNC=None,
-        D_max=0.0,
-        D_mean=0.0,
-        a_mag=metric_accel(u_tar),
-        k_mag=metric_curv(u_tar),
-    )
+    return _row(scenario, ("unperturbed", "-", "-"), pred_clean, scenario.target_past,
+                u_tar, None)
 
 
 def _common(values):
@@ -194,40 +134,32 @@ def _common(values):
 
 
 def aggregate(rows):
-    """Column means over rows; CR_FNC averages only the rows that carry it."""
+    """COLUMNS means over rows; CR_FNC averages only the rows that carry it."""
     if not rows:
         raise DataError("aggregate: no rows")
-    fnc = [r.CR_FNC for r in rows if r.CR_FNC is not None]
-    return MetricRow(
-        id="mean",
-        objective=_common(r.objective for r in rows),
-        obs_constraint=_common(r.obs_constraint for r in rows),
-        fut_constraint=_common(r.fut_constraint for r in rows),
-        ADE=float(np.mean([r.ADE for r in rows])),
-        FDE=float(np.mean([r.FDE for r in rows])),
-        CR_pred=float(np.mean([r.CR_pred for r in rows])),
-        CR_FNC=float(np.mean(fnc)) if fnc else None,
-        D_max=float(np.mean([r.D_max for r in rows])),
-        D_mean=float(np.mean([r.D_mean for r in rows])),
-        a_mag=float(np.mean([r.a_mag for r in rows])),
-        k_mag=float(np.mean([r.k_mag for r in rows])),
-    )
+    out = {"id": "mean"}
+    for key in COLUMNS[1:4]:
+        out[key] = _common(r[key] for r in rows)
+    for key in _METRICS:
+        values = [r[key] for r in rows if r[key] is not None]
+        out[key] = float(np.mean(values)) if values else None
+    return out
 
 
 def _cell(v):
     if v is None:
         return "-"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
 def write_rows_csv(path, dicts):
-    """Write row dicts as CSV; extra keys beyond COLUMNS are appended."""
+    """Write row dicts as CSV; the header is COLUMNS, then every other key
+    in order of appearance, and a row without a key gets "-"."""
     if not dicts:
         raise DataError("write_rows_csv: no rows")
-    extras = [k for k in dicts[0] if k not in COLUMNS]
-    header = [*COLUMNS, *extras]
+    header = list(dict.fromkeys([*COLUMNS, *(k for d in dicts for k in d)]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -241,10 +173,31 @@ def write_rows_jsonl(path, dicts):
             fh.write(json.dumps(d) + "\n")
 
 
+def _row_error(d):
+    """Why d is not a report row, or None."""
+    if not isinstance(d, dict):
+        return "not a JSON object"
+    missing = [k for k in COLUMNS if k not in d]
+    if missing:
+        return f"missing columns {missing}"
+    if not all(isinstance(d[k], str) for k in COLUMNS[:4]):
+        return f"labels {list(COLUMNS[:4])} must be strings"
+    for key in _METRICS:
+        v = d[key]
+        if v is None and key == "CR_FNC":
+            continue
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            return f"{key} is not a finite number: {v!r}"
+    return None
+
+
 def read_rows_jsonl(path):
-    """Read report rows back; returns (MetricRow list, extras dict list)."""
+    """Read report rows back as dicts, with every key each line holds.
+
+    A line must hold every column, and every metric a finite number
+    (CR_FNC may be null); anything else is a DataError at path:line.
+    """
     rows = []
-    extras = []
     try:
         fh = open(path)
     except OSError as exc:
@@ -255,10 +208,12 @@ def read_rows_jsonl(path):
                 continue
             try:
                 d = json.loads(line)
-                rows.append(MetricRow(**{k: d[k] for k in COLUMNS}))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: bad report row: {exc}") from None
-            extras.append({k: v for k, v in d.items() if k not in COLUMNS})
+            error = _row_error(d)
+            if error:
+                raise DataError(f"{path}:{lineno}: bad report row: {error}")
+            rows.append(d)
     if not rows:
         raise DataError(f"{path}: no report rows")
-    return rows, extras
+    return rows

@@ -79,8 +79,9 @@ def sample_left_turn_params(rng, preset="default", H=12, T=None, dt=0.1,
                             ranges=None):
     """Draw scenario parameters uniformly from a preset's ranges.
 
-    ranges overrides individual preset entries, e.g. {"gap_s": (1.0, 2.0)}.
-    T defaults to the preset's future horizon.
+    ranges overrides individual preset entries, e.g. {"gap_s": (1.0, 2.0)},
+    each a pair of finite numbers LO <= HI.  T defaults to the preset's
+    future horizon.
     """
     if preset not in PRESETS:
         raise ConfigError(f"unknown scenario preset {preset!r}; "
@@ -89,7 +90,15 @@ def sample_left_turn_params(rng, preset="default", H=12, T=None, dt=0.1,
     for key, rng_pair in (ranges or {}).items():
         if key not in spec or key in ("gap_sign_random", "T", "cross_fraction"):
             raise ConfigError(f"unknown sweep range {key!r}")
-        spec[key] = (float(rng_pair[0]), float(rng_pair[1]))
+        try:
+            lo, hi = map(float, rng_pair)
+            valid = math.isfinite(lo) and math.isfinite(hi) and lo <= hi
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ConfigError(f"sweep range {key!r} must be two finite numbers "
+                              f"LO <= HI, got {rng_pair!r}")
+        spec[key] = (lo, hi)
     draw = {key: float(rng.uniform(*spec[key]))
             for key in ("v_target", "v_ego", "turn_radius", "gap_s")}
     if spec["gap_sign_random"] and rng.uniform() < 0.5:

@@ -401,38 +401,38 @@ def extract_xy(xs, ys, dt):
     n = len(xs)
     if n < 2:
         raise DataError("extraction needs at least 2 points")
-    vx0 = (xs[1] - xs[0]) / dt
-    vy0 = (ys[1] - ys[0]) / dt
-    if value(vx0) == 0.0 and value(vy0) == 0.0:
-        v = 0.0
-        th = 0.0
-    else:
-        v = norm2(vx0, vy0)
-        th = atan2(vy0, vx0)
-    state0 = (xs[0], ys[0], th, v)
-    accels = []
-    kappas = []
+    # a state at rest faces the next moving step (the heading cannot change
+    # at zero speed); only a trailing stop keeps the heading it stopped with
+    heads = [0.0] * n
+    speeds = [0.0] * n
+    th = None
+    rest = 0
     for t in range(n - 1):
         vx = (xs[t + 1] - xs[t]) / dt
         vy = (ys[t + 1] - ys[t]) / dt
         if value(vx) == 0.0 and value(vy) == 0.0:
-            v_next = 0.0
-            th_next = th  # stationary: heading carries over
-        else:
-            ahead = abs(wrap_angle(math.atan2(value(vy), value(vx)) - value(th))) <= _HALF_PI
-            d = 1.0 if ahead else -1.0
-            v_next = norm2(vx, vy) * d
-            th_next = atan2(vy * d, vx * d)
-        a_t = (v_next - v) / dt
+            continue
+        ahead = th is None or \
+            abs(wrap_angle(math.atan2(value(vy), value(vx)) - value(th))) <= _HALF_PI
+        d = 1.0 if ahead else -1.0
+        th = atan2(vy * d, vx * d)
+        heads[rest:t + 2] = [th] * (t + 2 - rest)
+        speeds[t + 1] = norm2(vx, vy) * d
+        rest = t + 2
+    if th is not None:
+        heads[rest:] = [th] * (n - rest)
+    speeds[0] = speeds[1]
+    state0 = (xs[0], ys[0], heads[0], speeds[0])
+    accels = []
+    kappas = []
+    for t in range(n - 1):
+        v = speeds[t]
+        accels.append((speeds[t + 1] - v) / dt)
         if abs(value(v)) < V_EPS:
-            k_t = 0.0
+            kappas.append(0.0)
         else:
-            k_t = _wrap(th_next - th) / (v * dt)
-        accels.append(a_t)
-        kappas.append(k_t)
-        v = v_next
-        th = th_next
-    return state0, accels, kappas, (xs[-1], ys[-1], th, v)
+            kappas.append(_wrap(heads[t + 1] - heads[t]) / (v * dt))
+    return state0, accels, kappas, (xs[-1], ys[-1], heads[-1], speeds[-1])
 
 
 def predict_xy(predictor, xs, ys, dt, horizon):

@@ -21,7 +21,7 @@ from trajattack.barriers import BarrierConfig, _segment_table, constraint_distan
 from trajattack.cli import main
 from trajattack.core import AgentState, ControlSequence, Trajectory, box_overlap_mask
 from trajattack.dynamics import extract_controls, rollout
-from trajattack.metrics import metric_cr_fnc
+from trajattack.metrics import collision_rate
 from trajattack.predictor import KinematicPredictor, PredictorConfig
 from trajattack.scenario_io import (generate_left_turn, ingest_scenarios,
                                     sample_left_turn_params)
@@ -326,11 +326,9 @@ def _colliding_future_exists(scenario):
                                              "traj")
                 if max(dists) >= 0.9:
                     continue
-                perturbed = Trajectory(future, scenario.dt,
-                                       t0_index=scenario.target_future.t0_index)
-                if metric_cr_fnc(perturbed, scenario.ego_future,
-                                 scenario.vehicle_length, scenario.vehicle_width,
-                                 target_prev=t_prev, ego_prev=e_prev) == 1.0:
+                if collision_rate(future[None], scenario.ego_future.points,
+                                  scenario.vehicle_length, scenario.vehicle_width,
+                                  target_prev=t_prev, ego_prev=e_prev) == 1.0:
                     return True
     return False
 
@@ -352,22 +350,22 @@ def collision_suite(workdir):
 def test_criterion_7_false_negative_attack(collision_suite):
     scenarios, rows = collision_suite
     clean_hits = sum(
-        metric_cr_fnc(s.target_future, s.ego_future,
-                      s.vehicle_length, s.vehicle_width,
-                      target_prev=s.target_past.points[-1],
-                      ego_prev=s.ego_past.points[-1]) == 1.0
+        collision_rate(s.target_future.points[None], s.ego_future.points,
+                       s.vehicle_length, s.vehicle_width,
+                       target_prev=s.target_past.points[-1],
+                       ego_prev=s.ego_past.points[-1]) == 1.0
         for s in scenarios)
     constructed = sum(_colliding_future_exists(s) for s in scenarios)
     attacked = [r for r in rows if r["objective"] == "collision_fn"]
     baseline = [r for r in rows if r["objective"] == "unperturbed"]
-    collision_rate = float(np.mean([r["CR_FNC"] for r in attacked]))
+    attack_rate = float(np.mean([r["CR_FNC"] for r in attacked]))
     ade_ratio = float(np.mean([r["ADE"] for r in attacked])
                       / np.mean([r["ADE"] for r in baseline]))
     ok = (clean_hits == 0 and constructed == len(scenarios)
-          and collision_rate >= 0.5 and ade_ratio <= 2.0)
+          and attack_rate >= 0.5 and ade_ratio <= 2.0)
     _report(7, "false-negative collision attack", ok,
             f"clean futures colliding {clean_hits}/100, colliding future exists "
-            f"{constructed}/100, attack collision rate {collision_rate:.2f} "
+            f"{constructed}/100, attack collision rate {attack_rate:.2f} "
             f"(floor 0.5), prediction drift x{ade_ratio:.2f} (cap 2.0)")
 
 

@@ -419,14 +419,25 @@ def _degenerate_scenario(kind):
     if kind == "reversing":
         accels = np.r_[rng.uniform(-6.0, -4.0, 10), rng.uniform(-1.0, 1.0, 13)]
         return _scenario_from_controls(accels, kappas, 2.0)
+    if kind == "starts-at-rest":
+        # states 0 and 1 at rest face the first moving step; the short past
+        # puts the start inside the predictor's window
+        return _scenario_from_controls(np.r_[0.0, np.full(14, 2.0)], kappas[:15], 0.0, h=4)
+    if kind == "stops-and-departs":
+        # speed 1.0 - 4 * 0.25 reaches exactly 0 at state 8; states 8 and 9,
+        # inside the predictor's window, face the departure at step 9
+        accels = np.r_[np.zeros(4), np.full(4, -2.5), 0.0, np.full(14, 2.0)]
+        return _scenario_from_controls(accels, kappas, 1.0)
     # a past shorter than the predictor's window reaches the start state
     return _scenario_from_controls(np.zeros(15), kappas[:15], 5.0, h=4)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
-@pytest.mark.parametrize("kind", ["stopping", "reversing", "short-past"])
+@pytest.mark.parametrize("kind", ["stopping", "reversing", "short-past", "starts-at-rest",
+                                  "stops-and-departs"])
 def test_adjoint_matches_tape_on_degenerate_motion(kind, objective):
-    """Stationary steps, a reversal and a short past in the extracted states."""
+    """Stationary steps, a reversal, a short past, a start at rest and a
+    stop with a departure in the extracted states."""
     cfg = AttackConfig(objective=objective, a_min=-9.0, a_max=9.0,
                        barrier=BarrierConfig(observed_mode="time_traj", future_mode="traj"))
     problem = AttackProblem(_degenerate_scenario(kind), cfg,

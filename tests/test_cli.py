@@ -13,7 +13,7 @@ import trajattack
 from trajattack.attack import AttackConfig
 from trajattack.barriers import BarrierConfig
 from trajattack.cli import GRID, PARALLEL_ENV, _stable_seed, main
-from trajattack.metrics import read_rows_jsonl
+from trajattack.metrics import COLUMNS, DIAGNOSTICS, read_rows_jsonl
 from trajattack.predictor import PredictorConfig
 
 
@@ -64,6 +64,15 @@ class TestGenerate:
         record = json.loads(out.read_text().splitlines()[0])
         assert record["T"] == 20
 
+    @pytest.mark.parametrize("flag, pair", [
+        ("--gap-s", ["3", "1"]), ("--v-target", ["nan", "5"]), ("--turn-radius", ["6", "inf"]),
+    ], ids=["lo-above-hi", "nan", "inf"])
+    def test_bad_range_flag_is_config_error(self, tmp_path, capsys, flag, pair):
+        out = tmp_path / "g.jsonl"
+        assert run("generate", "--n", 1, "--seed", 0, flag, *pair, "--out", out) == 2
+        assert "sweep range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_range_flag(self, tmp_path):
         out = tmp_path / "r.jsonl"
         assert run("generate", "--n", 1, "--seed", 3,
@@ -77,23 +86,37 @@ class TestAttack:
         out = tmp_path / "res"
         assert run("attack", "--scenarios", scene_file, "--out", out,
                    "--objective", "ade", "--iters", 1) == 0
-        rows, extras = read_rows_jsonl(f"{out}.jsonl")
+        rows = read_rows_jsonl(f"{out}.jsonl")
         # one baseline row plus one attack row per scenario
         assert len(rows) == 6
-        assert sum(r.objective == "unperturbed" for r in rows) == 3
-        assert all("final_loss" in e for r, e in zip(rows, extras)
-                   if r.objective != "unperturbed")
+        assert sum(r["objective"] == "unperturbed" for r in rows) == 3
+        assert all("final_loss" in r for r in rows if r["objective"] != "unperturbed")
+
+    def test_csv_carries_the_diagnostics(self, scene_file, tmp_path):
+        """The CSV has every JSONL key, though each scenario's baseline row,
+        which has no diagnostics, comes first."""
+        out = tmp_path / "res"
+        assert run("attack", "--scenarios", scene_file, "--out", out,
+                   "--objective", "ade", "--iters", 1) == 0
+        rows = read_rows_jsonl(f"{out}.jsonl")
+        lines = (tmp_path / "res.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        assert header == list(COLUMNS + DIAGNOSTICS)
+        for r, line in zip(rows, lines[1:]):
+            cells = dict(zip(header, line.split(",")))
+            for key in DIAGNOSTICS:
+                assert cells[key] == ("-" if r["objective"] == "unperturbed" else str(r[key]))
 
     def test_grid_emits_all_configurations(self, scene_file, tmp_path):
         out = tmp_path / "grid"
         assert run("attack", "--scenarios", scene_file, "--out", out,
                    "--grid", "--iters", 2, "--dmax", 0.8) == 0
-        rows, _ = read_rows_jsonl(f"{out}.jsonl")
+        rows = read_rows_jsonl(f"{out}.jsonl")
         assert json.loads((tmp_path / "grid.manifest.json").read_text())["d_max"] == 0.8
         assert len(GRID) == 14
         assert len(rows) == 3 * (len(GRID) + 1)
-        combos = {(r.objective, r.obs_constraint, r.fut_constraint)
-                  for r in rows if r.objective != "unperturbed"}
+        combos = {(r["objective"], r["obs_constraint"], r["fut_constraint"])
+                  for r in rows if r["objective"] != "unperturbed"}
         assert combos == set(GRID)
 
     def test_serial_parallel_identical(self, scene_file, tmp_path):
@@ -247,10 +270,10 @@ class TestReport:
     def test_report_groups_and_orders(self, results, tmp_path, capsys):
         out = tmp_path / "rep"
         assert run("report", "--results", f"{results}.jsonl", "--out", out) == 0
-        rows, _ = read_rows_jsonl(f"{out}.jsonl")
-        assert rows[0].id == "unperturbed"
-        assert rows[1].id == "ade/time/none"
-        assert rows[0].D_max == 0.0
+        rows = read_rows_jsonl(f"{out}.jsonl")
+        assert rows[0]["id"] == "unperturbed"
+        assert rows[1]["id"] == "ade/time/none"
+        assert rows[0]["D_max"] == 0.0
         table = capsys.readouterr().out
         assert "unperturbed" in table and "ade/time/none" in table
 
@@ -260,14 +283,14 @@ class TestReport:
         res = tmp_path / "res"
         run("attack", "--scenarios", single, "--out", res,
             "--objective", "fde", "--iters", 1)
-        rows, _ = read_rows_jsonl(f"{res}.jsonl")
+        rows = read_rows_jsonl(f"{res}.jsonl")
         rep = tmp_path / "rep"
         assert run("report", "--results", f"{res}.jsonl", "--out", rep) == 0
-        agg, _ = read_rows_jsonl(f"{rep}.jsonl")
-        attacked = [r for r in rows if r.objective == "fde"][0]
-        summary = [r for r in agg if r.id == "fde/time/none"][0]
-        assert summary.ADE == attacked.ADE
-        assert summary.D_max == attacked.D_max
+        agg = read_rows_jsonl(f"{rep}.jsonl")
+        attacked = [r for r in rows if r["objective"] == "fde"][0]
+        summary = [r for r in agg if r["id"] == "fde/time/none"][0]
+        assert summary["ADE"] == attacked["ADE"]
+        assert summary["D_max"] == attacked["D_max"]
 
     def test_missing_results_is_data_error(self, tmp_path):
         assert run("report", "--results", tmp_path / "absent.jsonl",
@@ -277,6 +300,17 @@ class TestReport:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert run("report", "--results", empty, "--out", tmp_path / "rep") == 3
+
+    @pytest.mark.parametrize("cell", ["x", None])
+    def test_bad_metric_cell_is_data_error(self, results, tmp_path, capsys, cell):
+        lines = Path(f"{results}.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row["ADE"] = cell
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n")
+        assert run("report", "--results", bad, "--out", tmp_path / "rep") == 3
+        assert f"{bad}:2:" in capsys.readouterr().err
+        assert not (tmp_path / "rep.manifest.json").exists()
 
 
 class TestSeeding:

@@ -2,16 +2,17 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import make_trajectory
-from trajattack.core import ControlSequence, DataError, PredictionSet
-from trajattack.metrics import (COLUMNS, MetricRow, aggregate,
-                                compute_baseline_row, metric_accel,
-                                metric_ade, metric_cr_fnc, metric_cr_pred,
-                                metric_curv, metric_dmax, metric_dmean,
+from trajattack.attack import AttackConfig, AttackResult
+from trajattack.core import ControlSequence, DataError, PredictionSet, Scenario
+from trajattack.dynamics import extract_controls
+from trajattack.metrics import (COLUMNS, DIAGNOSTICS, aggregate, collision_rate,
+                                compute_attack_row, compute_baseline_row, metric_ade,
                                 metric_fde, read_rows_jsonl, write_rows_csv,
                                 write_rows_jsonl)
 from trajattack.objectives import ade_grad, fde_grad
@@ -24,7 +25,33 @@ def row(**overrides):
                 fut_constraint="none", ADE=1.0, FDE=2.0, CR_pred=0.0,
                 CR_FNC=None, D_max=0.5, D_mean=0.1, a_mag=0.3, k_mag=0.01)
     base.update(overrides)
-    return MetricRow(**base)
+    return base
+
+
+def stub_scenario(past, future=None, ego=None):
+    """Scenario with the given target past; the target goes on straight and
+    the ego stands far away unless given."""
+    past = np.asarray(past, dtype=float)
+    if future is None:
+        future = past[-1] + np.arange(1.0, 7.0)[:, None] * (past[-1] - past[-2])
+    if ego is None:
+        ego = np.full((len(past) + len(future), 2), 500.0)
+    h = len(past)
+    return Scenario(make_trajectory(ego[:h]), make_trajectory(ego[h:]),
+                    make_trajectory(past), make_trajectory(future), id="s0")
+
+
+def stub_result(scenario, predictor, **parts):
+    """AttackResult of the identity perturbation with the given parts replaced."""
+    pred = predictor.predict(scenario.target_past, horizon=scenario.horizon_future)
+    result = AttackResult(
+        x_pert=scenario.target_past, y_pert=scenario.target_future,
+        u_pert=extract_controls(scenario.target_past)[1], v_pert=None,
+        pred_pert=pred, pred_clean=pred, loss_trace=(), halving_events=3,
+        iterations_run=5,
+        diagnostics={"final_loss": -1.5, "rejections": 1, "max_accepted_distance": 0.25,
+                     "max_box_excess": 0.0, "empty_box_entries": 2})
+    return dataclasses.replace(result, **parts)
 
 
 class TestDisplacementMetrics:
@@ -49,70 +76,75 @@ class TestDisplacementMetrics:
         with pytest.raises(DataError):
             metric_ade(pred, make_trajectory(np.zeros((4, 2))))
 
-    def test_dmax_dmean_single_moved_point(self):
+    def test_dmax_dmean_single_moved_point(self, predictor):
         clean = np.column_stack([np.arange(12.0), np.zeros(12)])
         moved = clean.copy()
         moved[5, 1] += 0.6
-        x_pert = make_trajectory(moved)
-        x_tar = make_trajectory(clean)
-        assert metric_dmax(x_pert, x_tar) == 0.6
-        assert math.isclose(metric_dmean(x_pert, x_tar), 0.05, abs_tol=1e-12)
+        scenario = stub_scenario(clean)
+        r = compute_attack_row(scenario, stub_result(scenario, predictor,
+                                                     x_pert=make_trajectory(moved)),
+                               AttackConfig())
+        assert r["D_max"] == 0.6
+        assert math.isclose(r["D_mean"], 0.05, abs_tol=1e-12)
 
 
 class TestControlMetrics:
-    def test_mean_absolute_values(self):
+    def test_mean_absolute_values(self, predictor):
         seq = ControlSequence(np.array([[2.0, 0.01], [-2.0, -0.03]]), 0.1)
-        assert metric_accel(seq) == 2.0
-        assert math.isclose(metric_curv(seq), 0.02, abs_tol=1e-15)
+        scenario = stub_scenario(np.column_stack([np.arange(12.0), np.zeros(12)]))
+        r = compute_attack_row(scenario, stub_result(scenario, predictor, u_pert=seq),
+                               AttackConfig())
+        assert r["a_mag"] == 2.0
+        assert math.isclose(r["k_mag"], 0.02, abs_tol=1e-15)
 
 
 class TestCollisionRates:
     def test_quarter_of_samples_collide(self):
-        ego = make_trajectory([(0.0, 0.0), (1.0, 0.0)])
+        ego = np.array([(0.0, 0.0), (1.0, 0.0)])
         samples = np.empty((100, 2, 2))
         samples[:25] = [[0.2, 0.0], [1.2, 0.0]]      # on top of the ego
         samples[25:] = [[200.0, 200.0], [201.0, 200.0]]
-        pred = PredictionSet(samples, 0.1)
-        cr = metric_cr_pred(pred, ego, LEN, WID,
+        cr = collision_rate(samples, ego, LEN, WID,
                             target_prev=(-1.0, 0.0), ego_prev=(-1.0, 0.0))
         assert cr == 0.25
 
     def test_clearance_gives_zero(self):
-        ego = make_trajectory([(0.0, 0.0), (1.0, 0.0)])
+        ego = np.array([(0.0, 0.0), (1.0, 0.0)])
         samples = np.broadcast_to(np.array([[0.0, 50.0], [1.0, 50.0]]),
                                   (10, 2, 2)).copy()
-        pred = PredictionSet(samples, 0.1)
-        assert metric_cr_pred(pred, ego, LEN, WID) == 0.0
+        assert collision_rate(samples, ego, LEN, WID) == 0.0
 
     def test_fnc_detects_matched_time_crossing(self):
-        # Both reach the intersection of their paths at the same index.
-        ego = make_trajectory([(-2.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
-        tgt = make_trajectory([(0.0, -2.0), (0.0, -1.0), (0.0, 0.0), (0.0, 1.0)])
-        assert metric_cr_fnc(tgt, ego, LEN, WID) == 1.0
+        # Both reach the intersection of their paths at the same index; the
+        # perturbed future is a stack of one sample.
+        ego = np.array([(-2.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
+        tgt = np.array([(0.0, -2.0), (0.0, -1.0), (0.0, 0.0), (0.0, 1.0)])
+        assert collision_rate(tgt[None], ego, LEN, WID) == 1.0
 
     def test_fnc_zero_when_passage_times_differ(self):
         # Same crossing point, reached 40 steps apart.
         n = 80
         xs = np.linspace(-40.0, 39.0, n)
-        ego = make_trajectory(np.column_stack([xs, np.zeros(n)]))
-        tgt = make_trajectory(np.column_stack([np.zeros(n), xs - 40.0]))
-        assert metric_cr_fnc(tgt, ego, LEN, WID) == 0.0
+        ego = np.column_stack([xs, np.zeros(n)])
+        tgt = np.column_stack([np.zeros(n), xs - 40.0])
+        assert collision_rate(tgt[None], ego, LEN, WID) == 0.0
 
     def test_fnc_horizon_mismatch(self):
-        ego = make_trajectory([(0.0, 0.0), (1.0, 0.0)])
-        tgt = make_trajectory([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+        ego = np.array([(0.0, 0.0), (1.0, 0.0)])
+        tgt = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
         with pytest.raises(DataError):
-            metric_cr_fnc(tgt, ego, LEN, WID)
+            collision_rate(tgt[None], ego, LEN, WID)
 
 
 class TestRigidInvariance:
-    def test_all_position_metrics(self):
+    def test_all_position_metrics(self, predictor):
+        """Moving the whole scene rigidly leaves every metric of a row as it is."""
         rng = np.random.default_rng(14)
-        ref = rng.normal(scale=5.0, size=(6, 2))
-        ego = rng.normal(scale=5.0, size=(6, 2))
+        target = rng.normal(scale=5.0, size=(18, 2))
+        ego = rng.normal(scale=5.0, size=(18, 2))
+        x_pert = rng.normal(scale=5.0, size=(12, 2))
+        y_pert = rng.normal(scale=5.0, size=(6, 2))
         samples = rng.normal(scale=5.0, size=(3, 6, 2))
-        tgt_prev = rng.normal(scale=5.0, size=2)
-        ego_prev = rng.normal(scale=5.0, size=2)
 
         c, s = math.cos(0.7), math.sin(0.7)
         rot = np.array([[c, -s], [s, c]])
@@ -121,21 +153,19 @@ class TestRigidInvariance:
         def move(pts):
             return pts @ rot.T + shift
 
-        pred = PredictionSet(samples, 0.1)
-        pred_m = PredictionSet(samples @ rot.T + shift, 0.1)
-        y, y_m = make_trajectory(ref), make_trajectory(move(ref))
-        e, e_m = make_trajectory(ego), make_trajectory(move(ego))
-
-        assert abs(metric_ade(pred, y) - metric_ade(pred_m, y_m)) < 1e-9
-        assert abs(metric_fde(pred, y) - metric_fde(pred_m, y_m)) < 1e-9
-        assert abs(metric_dmax(y, e) - metric_dmax(y_m, e_m)) < 1e-9
-        assert abs(metric_dmean(y, e) - metric_dmean(y_m, e_m)) < 1e-9
-        assert metric_cr_pred(pred, e, LEN, WID, tgt_prev, ego_prev) == \
-            metric_cr_pred(pred_m, e_m, LEN, WID, move(tgt_prev[None])[0],
-                           move(ego_prev[None])[0])
-        assert metric_cr_fnc(y, e, LEN, WID, tgt_prev, ego_prev) == \
-            metric_cr_fnc(y_m, e_m, LEN, WID, move(tgt_prev[None])[0],
-                          move(ego_prev[None])[0])
+        cfg = AttackConfig(objective="collision_fn")
+        rows = []
+        for f in (lambda pts: pts, move):
+            scenario = stub_scenario(f(target[:12]), f(target[12:]), f(ego))
+            result = stub_result(scenario, predictor, x_pert=make_trajectory(f(x_pert)),
+                                 y_pert=make_trajectory(f(y_pert)),
+                                 pred_pert=PredictionSet(f(samples), 0.1))
+            rows.append(compute_attack_row(scenario, result, cfg))
+        row_a, row_m = rows
+        for key in ("ADE", "FDE", "D_max", "D_mean"):
+            assert abs(row_a[key] - row_m[key]) < 1e-9
+        assert row_a["CR_pred"] == row_m["CR_pred"]
+        assert row_a["CR_FNC"] == row_m["CR_FNC"]
 
 
 class TestBaselineRow:
@@ -143,35 +173,56 @@ class TestBaselineRow:
         pred = predictor.predict(left_turn.target_past,
                                  horizon=left_turn.horizon_future)
         base = compute_baseline_row(left_turn, pred)
-        assert base.objective == "unperturbed"
-        assert base.D_max == 0.0
-        assert base.D_mean == 0.0
-        assert base.CR_FNC is None
-        assert base.ADE > 0.0
+        assert base["objective"] == "unperturbed"
+        assert base["D_max"] == 0.0
+        assert base["D_mean"] == 0.0
+        assert base["CR_FNC"] is None
+        assert base["ADE"] > 0.0
+        assert tuple(base) == COLUMNS
+
+
+class TestAttackRow:
+    def test_metrics_then_diagnostics(self, left_turn, predictor):
+        r = compute_attack_row(left_turn, stub_result(left_turn, predictor),
+                               AttackConfig(objective="collision_fn"))
+        assert tuple(r) == COLUMNS + DIAGNOSTICS
+        assert (r["objective"], r["obs_constraint"], r["fut_constraint"]) == \
+            ("collision_fn", "time", "none")
+        assert r["CR_FNC"] in (0.0, 1.0)
+        assert (r["final_loss"], r["iterations"], r["halvings"], r["empty_box_entries"]) == \
+            (-1.5, 5, 3, 2)
+
+    def test_cr_fnc_only_for_the_collision_fn_objective(self, left_turn, predictor):
+        r = compute_attack_row(left_turn, stub_result(left_turn, predictor), AttackConfig())
+        assert r["CR_FNC"] is None
 
 
 class TestAggregate:
     def test_single_row_is_itself(self):
         r = row()
         agg = aggregate([r])
-        assert agg == dataclasses.replace(r, id="mean")
+        assert agg == {**r, "id": "mean"}
 
     def test_numeric_mean(self):
         agg = aggregate([row(D_max=0.0), row(D_max=2.0)])
-        assert agg.D_max == 1.0
+        assert agg["D_max"] == 1.0
 
     def test_cr_fnc_ignores_missing(self):
         agg = aggregate([row(CR_FNC=None), row(CR_FNC=1.0), row(CR_FNC=0.0)])
-        assert agg.CR_FNC == 0.5
+        assert agg["CR_FNC"] == 0.5
 
     def test_all_missing_stays_missing(self):
         agg = aggregate([row(), row()])
-        assert agg.CR_FNC is None
+        assert agg["CR_FNC"] is None
 
     def test_mixed_labels_dash(self):
         agg = aggregate([row(objective="ade"), row(objective="fde")])
-        assert agg.objective == "-"
-        assert agg.obs_constraint == "time"
+        assert agg["objective"] == "-"
+        assert agg["obs_constraint"] == "time"
+
+    def test_diagnostics_are_not_aggregated(self):
+        agg = aggregate([row(final_loss=-1.0), row(final_loss=-3.0)])
+        assert tuple(agg) == COLUMNS
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -183,23 +234,24 @@ class TestRoundTrip:
         rows = [row(ADE=math.pi, D_max=1.0 / 3.0),
                 row(id="s1", objective="collision_fn", CR_FNC=1.0)]
         path = tmp_path / "rows.jsonl"
-        write_rows_jsonl(path, [r.to_dict() for r in rows])
-        back, extras = read_rows_jsonl(path)
+        write_rows_jsonl(path, rows)
+        back = read_rows_jsonl(path)
         assert back == rows
-        assert extras == [{}, {}]
+        assert [tuple(d) for d in back] == [COLUMNS, COLUMNS]
 
     def test_jsonl_preserves_extras(self, tmp_path):
         path = tmp_path / "rows.jsonl"
-        d = row().to_dict()
+        d = row()
         d["final_loss"] = -1.25
         write_rows_jsonl(path, [d])
-        back, extras = read_rows_jsonl(path)
-        assert extras == [{"final_loss": -1.25}]
-        assert back[0].ADE == 1.0
+        back = read_rows_jsonl(path)
+        assert back == [d]
+        assert back[0]["final_loss"] == -1.25
+        assert back[0]["ADE"] == 1.0
 
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "rows.csv"
-        d = row().to_dict()
+        d = row()
         d["iterations"] = 100
         write_rows_csv(path, [d])
         lines = path.read_text().strip().splitlines()
@@ -209,9 +261,23 @@ class TestRoundTrip:
         assert cells[COLUMNS.index("CR_FNC")] == "-"
         assert cells[-1] == "100"
 
+    def test_csv_header_from_every_row(self, tmp_path, left_turn, predictor):
+        """A baseline row first still gives the attack rows' diagnostics columns."""
+        base = compute_baseline_row(left_turn, predictor.predict(
+            left_turn.target_past, horizon=left_turn.horizon_future))
+        attacked = compute_attack_row(left_turn, stub_result(left_turn, predictor),
+                                      AttackConfig())
+        path = tmp_path / "rows.csv"
+        write_rows_csv(path, [base, attacked])
+        header, base_cells, attack_cells = [line.split(",") for line in
+                                            path.read_text().strip().splitlines()]
+        assert header == list(COLUMNS + DIAGNOSTICS)
+        assert base_cells[len(COLUMNS):] == ["-"] * len(DIAGNOSTICS)
+        assert attack_cells[len(COLUMNS):] == ["-1.5", "5", "3", "1", "0.25", "0.0", "2"]
+
     def test_csv_float_cells_reparse_exactly(self, tmp_path):
         path = tmp_path / "rows.csv"
-        d = row(ADE=math.pi, D_mean=2.0 / 3.0).to_dict()
+        d = row(ADE=math.pi, D_mean=2.0 / 3.0)
         write_rows_csv(path, [d])
         cells = path.read_text().strip().splitlines()[1].split(",")
         assert float(cells[COLUMNS.index("ADE")]) == math.pi
@@ -225,6 +291,24 @@ class TestRoundTrip:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "s0"}\n')
         with pytest.raises(DataError):
+            read_rows_jsonl(path)
+
+    @pytest.mark.parametrize("bad", [
+        {"ADE": "x"}, {"ADE": None}, {"FDE": float("nan")}, {"CR_pred": True},
+        {"objective": 5}, {"k_mag": [0.1]},
+    ], ids=["string", "null", "nan", "bool", "label-not-string", "list"])
+    def test_bad_cell_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "bad.jsonl"
+        write_rows_jsonl(path, [row(), row(**bad)])
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: bad report row")):
+            read_rows_jsonl(path)
+
+    def test_missing_column_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        d = row()
+        del d["k_mag"]
+        write_rows_jsonl(path, [d])
+        with pytest.raises(DataError, match=re.escape(f"{path}:1: ") + ".*k_mag"):
             read_rows_jsonl(path)
 
     def test_empty_file(self, tmp_path):
