@@ -82,18 +82,35 @@ class AttackConfig:
 
 @dataclass(frozen=True)
 class AttackResult:
-    """Perturbed trajectories, controls, predictions, and run statistics."""
+    """Perturbed trajectories and controls, and run statistics.
+
+    The predictions are not stored: pred_pert and pred_clean run the
+    predictor on x_pert and on the clean past each time they are read, so
+    a result costs a few kilobytes however many samples the predictor
+    draws.  The predictor is deterministic (the attack checks it), so every
+    read gives the same samples.
+    """
 
     x_pert: Trajectory
     y_pert: Trajectory
     u_pert: ControlSequence
     v_pert: ControlSequence
-    pred_pert: object
-    pred_clean: object
+    predictor: object
+    past_clean: Trajectory
     loss_trace: tuple
     halving_events: int
     iterations_run: int
     diagnostics: dict
+
+    @property
+    def pred_pert(self):
+        """Predictions from the perturbed past x_pert."""
+        return self.predictor.predict(self.x_pert, horizon=len(self.y_pert))
+
+    @property
+    def pred_clean(self):
+        """Predictions from the unperturbed past."""
+        return self.predictor.predict(self.past_clean, horizon=len(self.y_pert))
 
 
 def control_box(controls, cfg):
@@ -225,7 +242,7 @@ class AttackProblem:
         self.sides = tuple(sides)
         self.max_halvings = cfg.max_halvings
         self.gamma = cfg.gamma
-        self.pred_clean = check_deterministic(predictor, tp, scenario.horizon_future)
+        check_deterministic(predictor, tp, scenario.horizon_future)
         # collision_fn pins the predictions at delta = 0, which is the rolled
         # reference; with the loss's own forward and reduction the drift
         # starts exactly at its apex.
@@ -313,7 +330,6 @@ def run_attack(scenario, cfg, predictor):
     y_pert = Trajectory(fut, scenario.dt, t0_index=1)
     u_pert = ControlSequence(problem.u_ref.inputs + state.delta[:n_past], scenario.dt)
     v_pert = ControlSequence(problem.v_ref.inputs + state.delta[n_past:], scenario.dt)
-    pred_pert = predictor.predict(x_pert, horizon=scenario.horizon_future)
     diagnostics = {
         "rejections": state.rejections,
         "max_accepted_distance": state.max_accepted_distance,
@@ -326,8 +342,8 @@ def run_attack(scenario, cfg, predictor):
         y_pert=y_pert,
         u_pert=u_pert,
         v_pert=v_pert,
-        pred_pert=pred_pert,
-        pred_clean=problem.pred_clean,
+        predictor=predictor,
+        past_clean=scenario.target_past,
         loss_trace=tuple(trace),
         halving_events=state.halving_events,
         iterations_run=len(trace),

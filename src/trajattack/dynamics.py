@@ -12,8 +12,9 @@ identically zero; position roundtrips are exact regardless.  Speed keeps
 its sign through reversals: a displacement pointing against the current
 heading flips the speed sign rather than the heading.  The heading cannot
 change at zero speed, so a vehicle at rest faces where it next moves; a
-start at rest or a stop mid-run round-trips too.  A speed that misses zero
-by roundoff does not: its next step has a rounding-error direction.
+start at rest or a stop mid-run round-trips too.  A step slower than the
+V_EPS dead band counts as a stop, so a speed that misses zero by roundoff
+round-trips as well.
 
 Both directions run on arrays: unicycle_scan is the forward model and
 inverse_states the inverse, and each has its reverse-mode derivative
@@ -115,7 +116,9 @@ def inverse_states(xs, ys, dt):
 
     Returns (theta, v, vx, vy, sign): theta and v have one entry per point;
     vx, vy are the step velocities and sign the direction of travel per
-    step (0 for a stationary step).  The start state reads the first step.
+    step.  A step slower than V_EPS is stationary (sign 0), so a speed that
+    misses zero by roundoff does not read a direction from its rounding
+    error.  The start state reads the first step.
     A step is forward when it lies within a quarter turn of the current
     heading; otherwise the speed turns negative and the heading stays on
     the vehicle's axis, so a reversal never inflates the extracted
@@ -137,7 +140,7 @@ def inverse_states(xs, ys, dt):
     th = None      # the heading before the current stop; none before the start
     rest = 0       # the first state that waits for the next moving step
     for t in range(n - 1):
-        if vxl[t] == 0.0 and vyl[t] == 0.0:
+        if math.hypot(vxl[t], vyl[t]) < V_EPS:
             continue
         ahead = th is None or abs(wrap_angle(math.atan2(vyl[t], vxl[t]) - th)) <= _HALF_PI
         d = 1.0 if ahead else -1.0
@@ -176,7 +179,11 @@ def inverse_states_pullback(vx, vy, sign, dt, g_theta, g_v):
     next moving step, or, in a trailing stop, to the state before it.
     """
     g_theta = np.array(g_theta, dtype=float)
-    for t in np.flatnonzero(sign == 0.0)[::-1].tolist():
+    # a stationary step moves by at most roundoff, and nothing reads it
+    moving = sign != 0.0
+    vx = np.where(moving, vx, 0.0)
+    vy = np.where(moving, vy, 0.0)
+    for t in np.flatnonzero(~moving)[::-1].tolist():
         ahead = np.flatnonzero(sign[t:])
         g_theta[t + ahead[0] + 1 if ahead.size else t] += g_theta[t + 1]
     dir_x, dir_y = hypot_grad(vx, vy, np.hypot(vx, vy))
@@ -184,7 +191,7 @@ def inverse_states_pullback(vx, vy, sign, dt, g_theta, g_v):
     inv_r2 = np.divide(1.0, r2, out=np.zeros_like(r2), where=r2 != 0.0)
     # State t + 1 reads step t: v = |step| * sign, theta = atan2 of the step,
     # whose derivative does not depend on the sign.  A stationary step has
-    # sign 0 and a zero step, so both terms vanish there.
+    # sign 0 and a zeroed step, so both terms vanish there.
     g_speed = g_v[1:] * sign
     g_head = g_theta[1:] * inv_r2
     g_vx = g_speed * dir_x - g_head * vy

@@ -168,9 +168,22 @@ def write_rows_csv(path, dicts):
 
 
 def write_rows_jsonl(path, dicts):
+    """Write row dicts as strict JSON lines.
+
+    A row with a non-finite number is a DataError naming its id and column,
+    raised before the file is opened.
+    """
+    lines = []
+    for d in dicts:
+        try:
+            lines.append(json.dumps(d, allow_nan=False) + "\n")
+        except ValueError:
+            key, value = next((k, v) for k, v in d.items()
+                              if isinstance(v, float) and not math.isfinite(v))
+            raise DataError(f"row {d.get('id')!r}: {key} is not a finite number: "
+                            f"{value!r}") from None
     with open(path, "w") as fh:
-        for d in dicts:
-            fh.write(json.dumps(d) + "\n")
+        fh.writelines(lines)
 
 
 def _row_error(d):

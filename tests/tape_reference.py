@@ -401,8 +401,9 @@ def extract_xy(xs, ys, dt):
     n = len(xs)
     if n < 2:
         raise DataError("extraction needs at least 2 points")
-    # a state at rest faces the next moving step (the heading cannot change
-    # at zero speed); only a trailing stop keeps the heading it stopped with
+    # a step slower than V_EPS is a stop; a state at rest faces the next
+    # moving step (the heading cannot change at zero speed), and only a
+    # trailing stop keeps the heading it stopped with
     heads = [0.0] * n
     speeds = [0.0] * n
     th = None
@@ -410,7 +411,7 @@ def extract_xy(xs, ys, dt):
     for t in range(n - 1):
         vx = (xs[t + 1] - xs[t]) / dt
         vy = (ys[t + 1] - ys[t]) / dt
-        if value(vx) == 0.0 and value(vy) == 0.0:
+        if math.hypot(value(vx), value(vy)) < V_EPS:
             continue
         ahead = th is None or \
             abs(wrap_angle(math.atan2(value(vy), value(vx)) - value(th))) <= _HALF_PI

@@ -1,7 +1,9 @@
 """PGD attack loop: projection, step control, feasibility, determinism."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from trajattack.attack import (AttackConfig, AttackProblem, PGDState,
                                control_box, dataset_accel_bounds,
                                pgd_iteration, run_attack)
 from trajattack.barriers import BarrierConfig
+from trajattack.cli import GRID
 from trajattack.core import AgentState, ConfigError, ControlSequence, Scenario, Trajectory
 from trajattack.dynamics import extract_controls, rollout
 from trajattack.objectives import OBJECTIVES, collision_fn_grad
@@ -258,6 +261,47 @@ class TestRunAttack:
         assert np.array_equal(a.y_pert.points, b.y_pert.points)
         assert np.array_equal(a.pred_pert.samples, b.pred_pert.samples)
 
+    @pytest.mark.parametrize("objective,observed,future", GRID)
+    def test_predictions_are_derived_on_access(self, left_turn, objective, observed, future):
+        """pred_pert and pred_clean are bitwise the predictions from x_pert and
+        from the scenario's own past; the attack predicts only in its
+        determinism check."""
+        calls = []
+
+        class Counting(KinematicPredictor):
+            def predict(self, past_target, *, horizon):
+                calls.append(past_target)
+                return super().predict(past_target, horizon=horizon)
+
+        cfg = AttackConfig(objective=objective, a_min=-4.0, a_max=4.0,
+                           barrier=BarrierConfig(observed_mode=observed, future_mode=future))
+        result = run_attack(left_turn, cfg, Counting(PredictorConfig()))
+        assert len(calls) == 2
+        assert result.past_clean is left_turn.target_past
+        fresh = KinematicPredictor(PredictorConfig())
+        horizon = left_turn.horizon_future
+        assert np.array_equal(result.pred_pert.samples,
+                              fresh.predict(result.x_pert, horizon=horizon).samples)
+        assert np.array_equal(result.pred_clean.samples,
+                              fresh.predict(left_turn.target_past, horizon=horizon).samples)
+
+    def test_result_keeps_no_samples(self, left_turn, predictor):
+        """A result retains at most 8 KB at K=100, T=12: its predictions are
+        derived on access, not stored."""
+        assert (predictor.config.n_samples, left_turn.horizon_future) == (100, 12)
+        cfg = AttackConfig(a_min=-4.0, a_max=4.0)
+        tracemalloc.start()
+        try:
+            results = [run_attack(left_turn, cfg, predictor) for _ in range(3)]
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del results
+            gc.collect()
+            per_result = (held - tracemalloc.get_traced_memory()[0]) / 3
+        finally:
+            tracemalloc.stop()
+        assert per_result <= 8000
+
     def test_accepted_iterates_stay_feasible_and_boxed(self, left_turn):
         cfg = AttackConfig(objective="collision_fp", max_iterations=30,
                            a_min=-4.0, a_max=4.0)
@@ -397,10 +441,10 @@ def test_adjoint_matches_tape(objective, barrier):
     _assert_adjoint_matches_tape(problem, _feasible_probes(problem, rng))
 
 
-def _scenario_from_controls(accels, kappas, v0, h=12):
+def _scenario_from_controls(accels, kappas, v0, h=12, theta0=0.3):
     """Target rolled from the given controls, ego at constant speed nearby."""
     n = len(accels) + 1
-    target = rollout(AgentState(0.0, 0.0, 0.3, v0),
+    target = rollout(AgentState(0.0, 0.0, theta0, v0),
                      ControlSequence(np.column_stack([accels, kappas]), 0.1)).points
     ego = rollout(AgentState(-3.0, 5.0, -1.0, 5.0),
                   ControlSequence(np.zeros((n - 1, 2)), 0.1)).points
@@ -428,16 +472,24 @@ def _degenerate_scenario(kind):
         # inside the predictor's window, face the departure at step 9
         accels = np.r_[np.zeros(4), np.full(4, -2.5), 0.0, np.full(14, 2.0)]
         return _scenario_from_controls(accels, kappas, 1.0)
+    if kind == "roundoff-stop":
+        # controls 6-8 bring the speed to -1.1e-16 m/s, not 0: step 8, inside
+        # the predictor's window, moves 2e-19 m and counts as a stop
+        accels = np.r_[np.zeros(6), -10.0, 2.0, 9.0, np.full(14, 2.0)]
+        kappas[:10] = 0.0
+        kappas[7] = 0.125
+        return _scenario_from_controls(accels, kappas, -0.1, theta0=0.0)
     # a past shorter than the predictor's window reaches the start state
     return _scenario_from_controls(np.zeros(15), kappas[:15], 5.0, h=4)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("kind", ["stopping", "reversing", "short-past", "starts-at-rest",
-                                  "stops-and-departs"])
+                                  "stops-and-departs", "roundoff-stop"])
 def test_adjoint_matches_tape_on_degenerate_motion(kind, objective):
-    """Stationary steps, a reversal, a short past, a start at rest and a
-    stop with a departure in the extracted states."""
+    """Stationary steps, a reversal, a short past, a start at rest, a stop
+    with a departure and a speed that misses zero by roundoff in the
+    extracted states."""
     cfg = AttackConfig(objective=objective, a_min=-9.0, a_max=9.0,
                        barrier=BarrierConfig(observed_mode="time_traj", future_mode="traj"))
     problem = AttackProblem(_degenerate_scenario(kind), cfg,

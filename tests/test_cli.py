@@ -244,6 +244,19 @@ class TestAttack:
                    "--objective", "ade", "--iters", 1)
         assert code == 4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_row_is_data_error(self, tmp_path, capsys):
+        """An attack whose rows overflow names the row and column, exits 3
+        and writes nothing."""
+        scenes = tmp_path / "huge.jsonl"
+        assert run("generate", "--n", 1, "--seed", 0, "--v-target", 1e300, 1e300,
+                   "--out", scenes) == 0
+        assert run("attack", "--scenarios", scenes, "--out", tmp_path / "x",
+                   "--objective", "ade", "--iters", 1) == 3
+        err = capsys.readouterr().err
+        assert "'lt-0000'" in err and "ADE is not a finite number" in err
+        assert not list(tmp_path.glob("x*"))
+
     def test_manifest_records_bounds_source(self, scene_file, tmp_path):
         out = tmp_path / "src"
         run("attack", "--scenarios", scene_file, "--out", out,

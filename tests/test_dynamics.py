@@ -280,11 +280,9 @@ def test_roundtrip_property_with_stops_and_reversals(motion):
     assert _roundtrip_miss(*motion) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="a speed that misses zero by roundoff leaves a "
-                   "next step whose direction is rounding error; see ROADMAP item 6")
 def test_roundtrip_through_a_roundoff_speed():
-    # the speed after the third step is -1.1e-16 m/s, not 0; extraction reads
-    # kappa = -17.3 1/m from the 1e-17 m step that follows
+    # the speed after the third step is -1.1e-16 m/s, not 0; the 1e-17 m step
+    # that follows is a stop, not a reversal with kappa = -17.3 1/m
     controls = ControlSequence(np.array([[-10.0, 0.0], [2.0, 0.125], [9.0, 0.0], [1.0, 0.0]]),
                                0.1)
     assert _roundtrip_miss(AgentState(0.0, 0.0, 0.0, -0.1), controls) < 1e-9

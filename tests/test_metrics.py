@@ -1,6 +1,7 @@
 """Report metrics: hand values, invariances, row aggregation, round trips."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -41,14 +42,23 @@ def stub_scenario(past, future=None, ego=None):
                     make_trajectory(past), make_trajectory(future), id="s0")
 
 
+class FixedPredictor:
+    """Stand-in predictor whose prediction is the given PredictionSet."""
+
+    def __init__(self, pred):
+        self.pred = pred
+
+    def predict(self, past_target, *, horizon):
+        return self.pred
+
+
 def stub_result(scenario, predictor, **parts):
     """AttackResult of the identity perturbation with the given parts replaced."""
-    pred = predictor.predict(scenario.target_past, horizon=scenario.horizon_future)
     result = AttackResult(
         x_pert=scenario.target_past, y_pert=scenario.target_future,
         u_pert=extract_controls(scenario.target_past)[1], v_pert=None,
-        pred_pert=pred, pred_clean=pred, loss_trace=(), halving_events=3,
-        iterations_run=5,
+        predictor=predictor, past_clean=scenario.target_past, loss_trace=(),
+        halving_events=3, iterations_run=5,
         diagnostics={"final_loss": -1.5, "rejections": 1, "max_accepted_distance": 0.25,
                      "max_box_excess": 0.0, "empty_box_entries": 2})
     return dataclasses.replace(result, **parts)
@@ -137,7 +147,7 @@ class TestCollisionRates:
 
 
 class TestRigidInvariance:
-    def test_all_position_metrics(self, predictor):
+    def test_all_position_metrics(self):
         """Moving the whole scene rigidly leaves every metric of a row as it is."""
         rng = np.random.default_rng(14)
         target = rng.normal(scale=5.0, size=(18, 2))
@@ -157,9 +167,9 @@ class TestRigidInvariance:
         rows = []
         for f in (lambda pts: pts, move):
             scenario = stub_scenario(f(target[:12]), f(target[12:]), f(ego))
-            result = stub_result(scenario, predictor, x_pert=make_trajectory(f(x_pert)),
-                                 y_pert=make_trajectory(f(y_pert)),
-                                 pred_pert=PredictionSet(f(samples), 0.1))
+            result = stub_result(scenario, FixedPredictor(PredictionSet(f(samples), 0.1)),
+                                 x_pert=make_trajectory(f(x_pert)),
+                                 y_pert=make_trajectory(f(y_pert)))
             rows.append(compute_attack_row(scenario, result, cfg))
         row_a, row_m = rows
         for key in ("ADE", "FDE", "D_max", "D_mean"):
@@ -299,9 +309,17 @@ class TestRoundTrip:
     ], ids=["string", "null", "nan", "bool", "label-not-string", "list"])
     def test_bad_cell_names_its_line(self, tmp_path, bad):
         path = tmp_path / "bad.jsonl"
-        write_rows_jsonl(path, [row(), row(**bad)])
+        # by hand: write_rows_jsonl refuses the NaN
+        path.write_text("".join(json.dumps(d) + "\n" for d in [row(), row(**bad)]))
         with pytest.raises(DataError, match=re.escape(f"{path}:2: bad report row")):
             read_rows_jsonl(path)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_writer_refuses_non_finite(self, tmp_path, value):
+        path = tmp_path / "rows.jsonl"
+        with pytest.raises(DataError, match="'s1': D_mean is not a finite number"):
+            write_rows_jsonl(path, [row(), row(id="s1", D_mean=value)])
+        assert not path.exists()
 
     def test_missing_column_names_its_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
