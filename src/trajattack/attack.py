@@ -10,6 +10,9 @@ d_max, the step is halved in place (the decay sequence itself is not
 affected); if the halving budget runs out, the iterate stays put.  The
 halved candidates are checked a block at a time in one stacked rollout,
 so the cost of an iteration hardly depends on how many halvings it takes.
+The accepted candidate's rollout from that check feeds the next gradient,
+so an iteration rolls the target out once, and the barrier and the
+feasibility check read the same positions.
 
 The control box combines relative bounds around the unperturbed control
 with absolute bounds (dataset acceleration range, curvature magnitude).
@@ -153,10 +156,16 @@ def dataset_accel_bounds(trajectories):
 
 @dataclass
 class PGDState:
-    """Mutable loop state threaded through pgd_iteration."""
+    """Mutable loop state threaded through pgd_iteration.
+
+    states is the target's rollout (x, y, theta, v) at delta, as the
+    feasibility check returned it, or None (at the start, until a step is
+    accepted); then the gradient rolls delta out itself.
+    """
 
     delta: np.ndarray
     alpha: float
+    states: tuple = None
     halving_events: int = 0
     rejections: int = 0
     max_accepted_distance: float = 0.0
@@ -167,10 +176,11 @@ def pgd_iteration(problem, state):
     """One PGD step; returns (next state, loss at the incoming iterate).
 
     problem.feasibility takes a stack of candidates (M, N, 2) and returns
-    (ok, worst distance), one entry per candidate.  The first feasible
-    candidate of the halving sequence is accepted.
+    (ok, worst distance, rollout states), one entry per candidate.  The
+    first feasible candidate of the halving sequence is accepted, and its
+    states feed the next call of problem.loss_and_grad(delta, states).
     """
-    loss, g = problem.loss_and_grad(state.delta)
+    loss, g = problem.loss_and_grad(state.delta, state.states)
     steps = [state.alpha]
     for _ in range(problem.max_halvings):
         steps.append(steps[-1] * 0.5)
@@ -180,7 +190,7 @@ def pgd_iteration(problem, state):
     for first in range(0, len(steps), HALVING_BLOCK):
         block = np.array(steps[first:first + HALVING_BLOCK])
         cands = np.clip(state.delta - block[:, None, None] * g, problem.lo, problem.hi)
-        ok, worst = problem.feasibility(cands)
+        ok, worst, states = problem.feasibility(cands)
         if ok.any():
             k = int(np.argmax(ok))
             halvings = first + k
@@ -189,10 +199,13 @@ def pgd_iteration(problem, state):
             break
     if accepted is None:
         new_delta = state.delta
+        new_states = state.states
         rejections = state.rejections + 1
         max_dist = state.max_accepted_distance
     else:
         new_delta = accepted
+        # contiguous copies: the layout of a rollout of the candidate alone
+        new_states = tuple(np.ascontiguousarray(s[k]) for s in states)
         rejections = state.rejections
         max_dist = max(state.max_accepted_distance, seen)
     excess = max(0.0, float(np.max(np.maximum(new_delta - problem.hi, problem.lo - new_delta))))
@@ -200,6 +213,7 @@ def pgd_iteration(problem, state):
         state,
         delta=new_delta,
         alpha=state.alpha * problem.gamma,
+        states=new_states,
         halving_events=state.halving_events + halvings,
         rejections=rejections,
         max_accepted_distance=max_dist,
@@ -254,13 +268,16 @@ class AttackProblem:
     def n_controls(self):
         return len(self.ref_controls)
 
-    def loss_and_grad(self, delta):
-        """Total loss at an (N, 2) perturbation and its gradient."""
+    def loss_and_grad(self, delta, states=None):
+        """Total loss at an (N, 2) perturbation and its gradient.
+
+        states is the rollout of delta when the caller has it (feasibility
+        returns it); otherwise delta is rolled out here.
+        """
         cfg = self.cfg
         d_max = cfg.barrier.d_max
         n_past = len(self.u_ref)
-        controls = self.ref_controls + delta
-        x, y, theta, v = unicycle_scan(*self.s0, controls[:, 0], controls[:, 1], self.dt)
+        x, y, theta, v = self.rollout(delta) if states is None else states
         pts = np.column_stack([x, y])
         past = pts[:n_past + 1]
         fut = pts[n_past + 1:]
@@ -284,35 +301,40 @@ class AttackProblem:
             loss = loss + term
             g_pts[rows] += g
         g_pts[:n_past + 1] += predictor_pullback(g_xs, g_ys)
-        *_, g_a, g_k = unicycle_scan_pullback(theta, v, controls[:, 1], self.dt,
-                                              g_pts[:, 0], g_pts[:, 1])
+        *_, g_a, g_k = unicycle_scan_pullback(theta, v, self.ref_controls[:, 1] + delta[:, 1],
+                                              self.dt, g_pts[:, 0], g_pts[:, 1])
         return float(loss), np.column_stack([g_a, g_k])
 
-    def _points(self, delta):
-        """Rolled positions (..., N + 1, 2) for perturbations (..., N, 2)."""
-        controls = self.ref_controls + delta
-        x, y, _, _ = unicycle_scan(*self.s0, np.moveaxis(controls[..., 0], -1, 0),
-                                   np.moveaxis(controls[..., 1], -1, 0), self.dt)
-        return np.stack([np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -1)], axis=-1)
+    def rollout(self, delta):
+        """The target's states (x, y, theta, v), each (..., N + 1), for
+        perturbations (..., N, 2)."""
+        # the scan runs over the leading axis: transpose the step axis there
+        # and back (the order of the candidate axes does not matter)
+        controls = (self.ref_controls + delta).T
+        states = unicycle_scan(*self.s0, controls[0], controls[1], self.dt)
+        return tuple(s.T for s in states)
 
     def positions(self, delta):
         """Perturbed past/future positions as arrays, for checks and results."""
-        pts = self._points(delta)
+        x, y, _, _ = self.rollout(delta)
+        pts = np.stack([x, y], axis=-1)
         n_past = len(self.u_ref)
         return pts[:n_past + 1], pts[n_past + 1:]
 
     def feasibility(self, delta):
-        """(all constrained distances < d_max, largest distance seen).
+        """(all constrained distances < d_max, largest distance seen, states).
 
-        delta may stack candidates, (..., N, 2); both results then have the
-        leading shape.
+        delta may stack candidates, (..., N, 2); the first two results then
+        have the leading shape, and states is the rollout (x, y, theta, v)
+        the distances were measured on, each (..., N + 1).
         """
-        pts = self._points(delta)
+        states = self.rollout(delta)
+        pts = np.stack(states[:2], axis=-1)
         worst = 0.0   # distances are >= 0, so the first side's maximum passes exactly
         for rows, ref, mode in self.sides:
             worst = np.maximum(worst, constraint_distances(pts[..., rows, :], ref, mode)
                                .max(axis=-1))
-        return worst < self.cfg.barrier.d_max, worst
+        return worst < self.cfg.barrier.d_max, worst, states
 
 
 def run_attack(scenario, cfg, predictor):
@@ -323,7 +345,7 @@ def run_attack(scenario, cfg, predictor):
     for _ in range(cfg.max_iterations):
         state, loss = pgd_iteration(problem, state)
         trace.append(loss)
-    final_loss, _ = problem.loss_and_grad(state.delta)
+    final_loss, _ = problem.loss_and_grad(state.delta, state.states)
     past, fut = problem.positions(state.delta)
     n_past = len(problem.u_ref)
     x_pert = Trajectory(past, scenario.dt, t0_index=-n_past)

@@ -42,8 +42,8 @@ from .metrics import (COLUMNS, aggregate, compute_attack_row,
                       write_rows_jsonl)
 from .objectives import OBJECTIVES
 from .predictor import KinematicPredictor, PredictorConfig
-from .scenario_io import (PRESETS, generate_left_turn, ingest_scenarios,
-                          sample_left_turn_params, write_scenarios)
+from .scenario_io import (PRESETS, SWEEP_LIMITS, generate_left_turn, ingest_scenarios,
+                          sample_left_turn_params, sweep_range, write_scenarios)
 
 PARALLEL_ENV = "TRAJATTACK_PARALLEL"
 
@@ -78,10 +78,13 @@ def cmd_generate(args):
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     ranges = {}
-    for key in ("v_target", "v_ego", "turn_radius", "gap_s"):
+    for key in SWEEP_LIMITS:
         pair = getattr(args, key)
         if pair is not None:
-            ranges[key] = tuple(pair)
+            try:
+                ranges[key] = sweep_range(key, pair)
+            except ConfigError as exc:
+                raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from None
     scenarios = []
     seeds = {}
     for i in range(args.n):
@@ -294,10 +297,10 @@ def build_parser():
     gen.add_argument("--horizon-future", type=int, default=None, dest="horizon_future",
                      help="future steps (default: preset value)")
     gen.add_argument("--preset", choices=sorted(PRESETS), default="default")
-    _range_flag(gen, "--v-target", "target speed range (m/s)")
-    _range_flag(gen, "--v-ego", "ego speed range (m/s)")
-    _range_flag(gen, "--turn-radius", "turn radius range (m)")
-    _range_flag(gen, "--gap-s", "crossing gap range (s)")
+    _range_flag(gen, "--v-target", "target speed range (m/s), within [0, 60]")
+    _range_flag(gen, "--v-ego", "ego speed range (m/s), within [0, 60]")
+    _range_flag(gen, "--turn-radius", "turn radius range (m), within [0, 1000]")
+    _range_flag(gen, "--gap-s", "crossing gap range (s), within [-60, 60]")
     gen.set_defaults(func=cmd_generate)
 
     att = sub.add_parser("attack", help="run the attack grid over a scenario file")

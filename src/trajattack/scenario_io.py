@@ -75,32 +75,42 @@ PRESETS = {
 }
 
 
+# Physical limits of the sweep ranges: speeds up to 60 m/s (216 km/h),
+# turns of at most 1 km radius, crossing gaps within a minute either way.
+SWEEP_LIMITS = {"v_target": (0.0, 60.0), "v_ego": (0.0, 60.0),
+                "turn_radius": (0.0, 1000.0), "gap_s": (-60.0, 60.0)}
+
+
+def sweep_range(key, pair):
+    """A validated sweep range (LO, HI) for one of the SWEEP_LIMITS keys."""
+    if key not in SWEEP_LIMITS:
+        raise ConfigError(f"unknown sweep range {key!r}")
+    low, high = SWEEP_LIMITS[key]
+    try:
+        lo, hi = map(float, pair)
+    except (TypeError, ValueError):
+        lo = hi = math.nan
+    if not low <= lo <= hi <= high:   # false for NaN
+        raise ConfigError(f"sweep range {key!r} must be two numbers "
+                          f"{low:g} <= LO <= HI <= {high:g}, got {pair!r}")
+    return lo, hi
+
+
 def sample_left_turn_params(rng, preset="default", H=12, T=None, dt=0.1,
                             ranges=None):
     """Draw scenario parameters uniformly from a preset's ranges.
 
     ranges overrides individual preset entries, e.g. {"gap_s": (1.0, 2.0)},
-    each a pair of finite numbers LO <= HI.  T defaults to the preset's
-    future horizon.
+    each a pair of finite numbers LO <= HI within the SWEEP_LIMITS.  T
+    defaults to the preset's future horizon.
     """
     if preset not in PRESETS:
         raise ConfigError(f"unknown scenario preset {preset!r}; "
                           f"choose from {sorted(PRESETS)}")
     spec = dict(PRESETS[preset])
-    for key, rng_pair in (ranges or {}).items():
-        if key not in spec or key in ("gap_sign_random", "T", "cross_fraction"):
-            raise ConfigError(f"unknown sweep range {key!r}")
-        try:
-            lo, hi = map(float, rng_pair)
-            valid = math.isfinite(lo) and math.isfinite(hi) and lo <= hi
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            raise ConfigError(f"sweep range {key!r} must be two finite numbers "
-                              f"LO <= HI, got {rng_pair!r}")
-        spec[key] = (lo, hi)
-    draw = {key: float(rng.uniform(*spec[key]))
-            for key in ("v_target", "v_ego", "turn_radius", "gap_s")}
+    for key, pair in (ranges or {}).items():
+        spec[key] = sweep_range(key, pair)
+    draw = {key: float(rng.uniform(*spec[key])) for key in SWEEP_LIMITS}
     if spec["gap_sign_random"] and rng.uniform() < 0.5:
         draw["gap_s"] = -draw["gap_s"]
     return LeftTurnParams(H=H, T=spec["T"] if T is None else T, dt=dt,

@@ -440,13 +440,16 @@ def predict_xy(predictor, xs, ys, dt, horizon):
     """KinematicPredictor samples from raw past coordinates.
 
     Coordinates may be floats or tape nodes.  Returns a list of
-    (x, y) pairs per future step, each holding all K samples.
+    (x, y) pairs per future step, each holding all K samples.  Each sample
+    keeps its control over the horizon, so speed and heading take the
+    package's closed form in the step index t, with the same operations in
+    the same order; positions add one step at a time.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if len(xs) < 3:
         raise DataError("prediction needs at least 3 past points")
-    _, accels, kappas, (x, y, th, v) = extract_xy(xs, ys, dt)
+    _, accels, kappas, (x, y, th0, v0) = extract_xy(xs, ys, dt)
     w = min(predictor.config.smoothing_window, len(accels))
     a_star = accels[-w]
     k_star = kappas[-w]
@@ -458,8 +461,13 @@ def predict_xy(predictor, xs, ys, dt, horizon):
     a_k = a_star + predictor._offset_a       # (K,)
     k_k = k_star + predictor._offset_kappa   # (K,)
     out = []
-    for _ in range(horizon):
-        x, y, th, v = step_xy(x, y, th, v, a_k, k_k, dt)
+    for t in range(1, horizon + 1):
+        tdt = float(t) * dt
+        c2 = (t * (t - 1.0) / 2.0) * (dt * dt)
+        v = v0 + tdt * a_k
+        th = th0 + (tdt * v0) * k_k + c2 * (k_k * a_k)
+        x = x + v * cos(th) * dt
+        y = y + v * sin(th) * dt
         out.append((x, y))
     return out
 

@@ -178,7 +178,7 @@ def _draw_smooth_probe(rng, problem, attempts=20):
                           sign_k * rng.uniform(0.00125, 0.005, problem.n_controls)],
                          axis=1)
         delta = np.clip(delta, problem.lo, problem.hi)
-        feasible, worst = problem.feasibility(delta)
+        feasible, worst, _ = problem.feasibility(delta)
         if not feasible or worst >= 0.85 * problem.cfg.barrier.d_max:
             continue
         if _probe_is_smooth(problem, delta):

@@ -7,19 +7,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_trajectory, straight_trajectory
+from conftest import (DEGENERATE_KINDS, degenerate_scenario, make_trajectory,
+                      straight_trajectory)
 from tape_reference import Var, grad, reference_loss, value
 from trajattack.attack import (AttackConfig, AttackProblem, PGDState,
                                control_box, dataset_accel_bounds,
                                pgd_iteration, run_attack)
 from trajattack.barriers import BarrierConfig
 from trajattack.cli import GRID
-from trajattack.core import AgentState, ConfigError, ControlSequence, Scenario, Trajectory
+from trajattack.core import ConfigError, ControlSequence
 from trajattack.dynamics import extract_controls, rollout
 from trajattack.objectives import OBJECTIVES, collision_fn_grad
 from trajattack.predictor import KinematicPredictor, PredictorConfig
-from trajattack.scenario_io import generate_left_turn, sample_left_turn_params
+from trajattack.scenario_io import PRESETS, generate_left_turn, sample_left_turn_params
 
 
 def seq(rows, dt=0.1):
@@ -134,7 +137,11 @@ class TestDatasetAccelBounds:
 
 
 class _StubProblem:
-    """Minimal loss/feasibility oracle for exercising pgd_iteration."""
+    """Minimal loss/feasibility oracle for exercising pgd_iteration.
+
+    Its "rollout" of a candidate is the candidate itself, so a test can see
+    which candidate's states the loop carries.
+    """
 
     def __init__(self, grad, lo, hi, feasible=lambda d: True,
                  gamma=0.99, max_halvings=30, loss=0.0):
@@ -146,12 +153,13 @@ class _StubProblem:
         self.max_halvings = max_halvings
         self._loss = loss
 
-    def loss_and_grad(self, delta):
+    def loss_and_grad(self, delta, states=None):
+        assert states is None or np.array_equal(states[0], delta)
         return self._loss, self._grad.copy()
 
     def feasibility(self, deltas):
         ok = np.array([bool(self._feasible(d)) for d in deltas])
-        return ok, np.abs(deltas).max(axis=(1, 2))
+        return ok, np.abs(deltas).max(axis=(1, 2)), (deltas.copy(),)
 
 
 class TestPgdIteration:
@@ -186,6 +194,8 @@ class TestPgdIteration:
         assert state.halving_events == 2
         assert math.isclose(state.delta[0, 0], -0.02, abs_tol=1e-15)
         assert math.isclose(state.alpha, 0.08 * 0.99, abs_tol=1e-15)
+        # the accepted candidate's rollout is carried to the next gradient
+        np.testing.assert_array_equal(state.states[0], state.delta)
 
     def test_exhausted_halvings_keep_previous_iterate(self):
         problem = _StubProblem(grad=[[1.0, 0.0]], lo=[[-1, -1]], hi=[[1, 1]],
@@ -196,6 +206,7 @@ class TestPgdIteration:
         np.testing.assert_array_equal(state.delta, start)
         assert state.rejections == 1
         assert state.halving_events == 3
+        assert state.states is None   # a rejected step keeps the old states
 
     def test_linear_descent_matches_closed_form(self):
         g = np.array([[0.7, -0.3]])
@@ -379,7 +390,7 @@ def test_future_none_constrains_nothing():
     n_past = len(problems["none"].u_ref)
     cands = np.zeros((3, problems["none"].n_controls, 2))
     cands[:, n_past:, 1] = np.array([0.1, 0.2, 0.3])[:, None]
-    ok, worst = problems["none"].feasibility(cands)
+    ok, worst, _ = problems["none"].feasibility(cands)
     assert ok.all() and not worst.any()
     assert not problems["traj"].feasibility(cands)[0].any()
 
@@ -396,12 +407,91 @@ def test_stacked_feasibility_equals_one_at_a_time(barrier):
     direction = np.column_stack([rng.uniform(1.0, 2.0, problem.n_controls),
                                  rng.uniform(0.02, 0.05, problem.n_controls)])
     cands = np.clip(direction * 0.5 ** np.arange(12)[:, None, None], problem.lo, problem.hi)
-    ok, worst = problem.feasibility(cands)
+    ok, worst, states = problem.feasibility(cands)
     assert ok.shape == worst.shape == (12,)
+    assert all(s.shape == (12, problem.n_controls + 1) for s in states)
     assert not ok[0] and ok[-1]
     for k, cand in enumerate(cands):
-        one_ok, one_worst = problem.feasibility(cand)
+        one_ok, one_worst, one_states = problem.feasibility(cand)
         assert one_ok == ok[k] and one_worst == worst[k]
+        assert all(np.array_equal(one, s[k]) for one, s in zip(one_states, states))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), preset=st.sampled_from(sorted(PRESETS)),
+       config=st.sampled_from(GRID), alpha0=st.sampled_from([0.01, 0.1, 1.0]),
+       max_halvings=st.integers(0, 30), iterations=st.integers(1, 6))
+def test_accepted_iterates_are_boxed_and_feasible(seed, preset, config, alpha0, max_halvings,
+                                                  iterations):
+    """Over drawn scenarios, configurations, step sizes and halving budgets,
+    every accepted iterate lies in [lo, hi], where the clamp leaves it
+    unchanged, and has every constrained distance below d_max."""
+    objective, observed, future = config
+    scenario = generate_left_turn(
+        sample_left_turn_params(np.random.default_rng(seed), preset=preset), seed=seed)
+    cfg = AttackConfig(objective=objective, alpha0=alpha0, max_halvings=max_halvings,
+                       a_min=-4.0, a_max=4.0,
+                       barrier=BarrierConfig(observed_mode=observed, future_mode=future))
+    problem = AttackProblem(scenario, cfg, KinematicPredictor(PredictorConfig(n_samples=8)))
+    state = PGDState(delta=np.zeros((problem.n_controls, 2)), alpha=alpha0)
+    for _ in range(iterations):
+        state, _ = pgd_iteration(problem, state)
+        assert np.all(problem.lo <= state.delta) and np.all(state.delta <= problem.hi)
+        assert np.array_equal(np.clip(state.delta, problem.lo, problem.hi), state.delta)
+        ok, worst, _ = problem.feasibility(state.delta)
+        assert ok and worst < cfg.barrier.d_max
+    assert state.max_accepted_distance < cfg.barrier.d_max
+
+
+class _Rerolling:
+    """An AttackProblem whose gradient rolls every iterate out afresh
+    instead of reading the states the feasibility check carried."""
+
+    def __init__(self, problem):
+        self._problem = problem
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def loss_and_grad(self, delta, states=None):
+        return self._problem.loss_and_grad(delta)
+
+
+@pytest.mark.parametrize("max_halvings", [30, 2])
+@pytest.mark.parametrize("objective,observed,future", GRID)
+def test_carried_states_equal_a_fresh_rollout(left_turn, objective, observed, future,
+                                              max_halvings):
+    """Reading the accepted candidate's rollout from the feasibility check
+    changes no bit: every iterate, the loss trace, the halvings and the
+    diagnostics equal those of a loop that re-rolls each iterate.  Two
+    halvings leave the traj configurations with rejected steps."""
+    cfg = AttackConfig(objective=objective, a_min=-4.0, a_max=4.0, max_halvings=max_halvings,
+                       barrier=BarrierConfig(observed_mode=observed, future_mode=future))
+    predictor = KinematicPredictor(PredictorConfig())
+    problem = AttackProblem(left_turn, cfg, predictor)
+    carried = PGDState(delta=np.zeros((problem.n_controls, 2)), alpha=cfg.alpha0)
+    fresh = PGDState(delta=carried.delta, alpha=cfg.alpha0)
+    trace = []
+    for _ in range(cfg.max_iterations):
+        carried, _ = pgd_iteration(problem, carried)
+        fresh, loss = pgd_iteration(_Rerolling(problem), fresh)
+        assert np.array_equal(carried.delta, fresh.delta)
+        if carried.states is not None:
+            assert all(np.array_equal(s, r)
+                       for s, r in zip(carried.states, problem.rollout(carried.delta)))
+        trace.append(loss)
+    result = run_attack(left_turn, cfg, predictor)
+    assert result.loss_trace == tuple(trace)
+    assert result.halving_events == fresh.halving_events
+    assert np.array_equal(np.vstack([result.u_pert.inputs, result.v_pert.inputs]),
+                          problem.ref_controls + fresh.delta)
+    assert result.diagnostics == {
+        "rejections": fresh.rejections,
+        "max_accepted_distance": fresh.max_accepted_distance,
+        "max_box_excess": fresh.max_box_excess,
+        "empty_box_entries": problem.empty_box_entries,
+        "final_loss": problem.loss_and_grad(fresh.delta)[0],
+    }
 
 
 def _assert_adjoint_matches_tape(problem, probes):
@@ -441,57 +531,14 @@ def test_adjoint_matches_tape(objective, barrier):
     _assert_adjoint_matches_tape(problem, _feasible_probes(problem, rng))
 
 
-def _scenario_from_controls(accels, kappas, v0, h=12, theta0=0.3):
-    """Target rolled from the given controls, ego at constant speed nearby."""
-    n = len(accels) + 1
-    target = rollout(AgentState(0.0, 0.0, theta0, v0),
-                     ControlSequence(np.column_stack([accels, kappas]), 0.1)).points
-    ego = rollout(AgentState(-3.0, 5.0, -1.0, 5.0),
-                  ControlSequence(np.zeros((n - 1, 2)), 0.1)).points
-    return Scenario(Trajectory(ego[:h], 0.1, 1 - h), Trajectory(ego[h:], 0.1, 1),
-                    Trajectory(target[:h], 0.1, 1 - h), Trajectory(target[h:], 0.1, 1))
-
-
-def _degenerate_scenario(kind):
-    rng = np.random.default_rng(5)
-    kappas = rng.uniform(-0.1, 0.1, 23)
-    if kind == "stopping":
-        # speed 1.0 - 4 * 0.25 reaches exactly 0: the last two past steps
-        # are stationary, so the terminal heading is carried over
-        accels = np.r_[np.zeros(6), np.full(4, -2.5), np.zeros(2), np.full(11, 2.0)]
-        return _scenario_from_controls(accels, kappas, 1.0)
-    if kind == "reversing":
-        accels = np.r_[rng.uniform(-6.0, -4.0, 10), rng.uniform(-1.0, 1.0, 13)]
-        return _scenario_from_controls(accels, kappas, 2.0)
-    if kind == "starts-at-rest":
-        # states 0 and 1 at rest face the first moving step; the short past
-        # puts the start inside the predictor's window
-        return _scenario_from_controls(np.r_[0.0, np.full(14, 2.0)], kappas[:15], 0.0, h=4)
-    if kind == "stops-and-departs":
-        # speed 1.0 - 4 * 0.25 reaches exactly 0 at state 8; states 8 and 9,
-        # inside the predictor's window, face the departure at step 9
-        accels = np.r_[np.zeros(4), np.full(4, -2.5), 0.0, np.full(14, 2.0)]
-        return _scenario_from_controls(accels, kappas, 1.0)
-    if kind == "roundoff-stop":
-        # controls 6-8 bring the speed to -1.1e-16 m/s, not 0: step 8, inside
-        # the predictor's window, moves 2e-19 m and counts as a stop
-        accels = np.r_[np.zeros(6), -10.0, 2.0, 9.0, np.full(14, 2.0)]
-        kappas[:10] = 0.0
-        kappas[7] = 0.125
-        return _scenario_from_controls(accels, kappas, -0.1, theta0=0.0)
-    # a past shorter than the predictor's window reaches the start state
-    return _scenario_from_controls(np.zeros(15), kappas[:15], 5.0, h=4)
-
-
 @pytest.mark.parametrize("objective", OBJECTIVES)
-@pytest.mark.parametrize("kind", ["stopping", "reversing", "short-past", "starts-at-rest",
-                                  "stops-and-departs", "roundoff-stop"])
+@pytest.mark.parametrize("kind", DEGENERATE_KINDS)
 def test_adjoint_matches_tape_on_degenerate_motion(kind, objective):
     """Stationary steps, a reversal, a short past, a start at rest, a stop
     with a departure and a speed that misses zero by roundoff in the
     extracted states."""
     cfg = AttackConfig(objective=objective, a_min=-9.0, a_max=9.0,
                        barrier=BarrierConfig(observed_mode="time_traj", future_mode="traj"))
-    problem = AttackProblem(_degenerate_scenario(kind), cfg,
+    problem = AttackProblem(degenerate_scenario(kind), cfg,
                             KinematicPredictor(PredictorConfig()))
     _assert_adjoint_matches_tape(problem, _feasible_probes(problem, np.random.default_rng(0)))

@@ -15,6 +15,7 @@ from trajattack.barriers import BarrierConfig
 from trajattack.cli import GRID, PARALLEL_ENV, _stable_seed, main
 from trajattack.metrics import COLUMNS, DIAGNOSTICS, read_rows_jsonl
 from trajattack.predictor import PredictorConfig
+from trajattack.scenario_io import LeftTurnParams, generate_left_turn, write_scenarios
 
 
 def run(*argv):
@@ -66,11 +67,16 @@ class TestGenerate:
 
     @pytest.mark.parametrize("flag, pair", [
         ("--gap-s", ["3", "1"]), ("--v-target", ["nan", "5"]), ("--turn-radius", ["6", "inf"]),
-    ], ids=["lo-above-hi", "nan", "inf"])
+        ("--v-target", ["1e300", "1e300"]), ("--v-target", ["1e3", "1e3"]),
+        ("--v-ego", ["-1", "5"]), ("--turn-radius", ["6", "1e4"]), ("--gap-s", ["-61", "1"]),
+    ], ids=["lo-above-hi", "nan", "inf", "1e300", "1e3", "reverse", "straight", "gap"])
     def test_bad_range_flag_is_config_error(self, tmp_path, capsys, flag, pair):
+        """A range that is not two finite numbers LO <= HI within the
+        physical limits is refused up front, naming its flag."""
         out = tmp_path / "g.jsonl"
         assert run("generate", "--n", 1, "--seed", 0, flag, *pair, "--out", out) == 2
-        assert "sweep range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sweep range" in err and flag in err
         assert not out.exists()
 
     def test_range_flag(self, tmp_path):
@@ -249,8 +255,9 @@ class TestAttack:
         """An attack whose rows overflow names the row and column, exits 3
         and writes nothing."""
         scenes = tmp_path / "huge.jsonl"
-        assert run("generate", "--n", 1, "--seed", 0, "--v-target", 1e300, 1e300,
-                   "--out", scenes) == 0
+        # generate refuses such speeds; the file is written through the library
+        params = LeftTurnParams(v_target=1e300, v_ego=8.0, turn_radius=6.5, gap_s=1.2)
+        write_scenarios(scenes, [dataclasses.replace(generate_left_turn(params), id="lt-0000")])
         assert run("attack", "--scenarios", scenes, "--out", tmp_path / "x",
                    "--objective", "ade", "--iters", 1) == 3
         err = capsys.readouterr().err

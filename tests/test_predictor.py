@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_trajectory, straight_trajectory
+from conftest import degenerate_scenario, make_trajectory, straight_trajectory
 from trajattack.attack import AttackConfig, AttackProblem
 from trajattack.core import ConfigError, DataError, Trajectory
+from trajattack.dynamics import extract_controls, inverse_states, unicycle_scan
 from trajattack.predictor import KinematicPredictor, PredictorConfig, check_deterministic
+from trajattack.scenario_io import generate_left_turn, sample_left_turn_params
 
 
 def arc_points(n, v, kappa, dt, x0=0.0, y0=0.0, theta0=0.0):
@@ -101,6 +103,37 @@ class TestExtrapolation:
     def test_short_past_is_rejected(self, predictor):
         with pytest.raises(DataError):
             predictor.predict(straight_trajectory(2), horizon=5)
+
+
+def _past(kind):
+    if kind in ("default", "near-miss"):
+        rng = np.random.default_rng(4)
+        return generate_left_turn(sample_left_turn_params(rng, preset=kind),
+                                  seed=4).target_past
+    return degenerate_scenario(kind).target_past
+
+
+@pytest.mark.parametrize("kind", ["default", "near-miss", "stopping", "reversing",
+                                  "starts-at-rest", "roundoff-stop"])
+@pytest.mark.parametrize("n_samples", [1, 100])
+@pytest.mark.parametrize("horizon", [1, 12, 20])
+def test_closed_form_matches_the_forward_model(kind, n_samples, horizon):
+    """The samples' closed-form speed and heading roll out the positions that
+    the forward model reaches on each sample's constant control."""
+    past = _past(kind)
+    p = KinematicPredictor(PredictorConfig(n_samples=n_samples))
+    (xs, ys), _ = p.predict_vjp(past.points, past.dt, horizon)
+    _, controls = extract_controls(past)
+    w = min(p.config.smoothing_window, len(controls))
+    a = controls.a[-w:].sum() / w + p._offset_a
+    kappa = controls.kappa[-w:].sum() / w + p._offset_kappa
+    theta, v, *_ = inverse_states(past.points[:, 0], past.points[:, 1], past.dt)
+    shape = (horizon, n_samples)
+    x, y, _, _ = unicycle_scan(*past.points[-1], theta[-1], v[-1], np.broadcast_to(a, shape),
+                               np.broadcast_to(kappa, shape), past.dt)
+    scale = np.abs(np.vstack([past.points, np.column_stack([xs.ravel(), ys.ravel()])])).max()
+    assert np.abs(xs - x[1:]).max() <= 1e-12 * scale
+    assert np.abs(ys - y[1:]).max() <= 1e-12 * scale
 
 
 class TestDeterminism:
