@@ -10,9 +10,11 @@ d_max, the step is halved in place (the decay sequence itself is not
 affected); if the halving budget runs out, the iterate stays put.  The
 halved candidates are checked a block at a time in one stacked rollout,
 so the cost of an iteration hardly depends on how many halvings it takes.
-The accepted candidate's rollout from that check feeds the next gradient,
-so an iteration rolls the target out once, and the barrier and the
-feasibility check read the same positions.
+That check measures every barrier side of the stacked candidates once; the
+accepted candidate's rollout and its slice of each side's measurement
+(offsets and point-to-segment table) feed the next gradient.  So an
+iteration rolls the target out once and builds each distance table once,
+and the barrier reads the very table the feasibility check accepted.
 
 The control box combines relative bounds around the unperturbed control
 with absolute bounds (dataset acceleration range, curvature magnitude).
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import BarrierConfig, barrier_grad, constraint_distances
+from .barriers import BarrierConfig, BarrierSide
 from .core import ConfigError, ControlSequence, Trajectory, check_numeric_fields
 from .dynamics import extract_controls, unicycle_scan, unicycle_scan_pullback
 from .objectives import (OBJECTIVES, ade_grad, collision_fn_grad, collision_fp_grad,
@@ -41,6 +43,8 @@ from .predictor import check_deterministic
 # and its first seven halvings.  On generated scenarios more than 99% of
 # iterations accept one of these, so one call per iteration is the rule.
 HALVING_BLOCK = 8
+# A block's step sizes are its first step times these; halving is exact.
+_HALVINGS = 0.5 ** np.arange(HALVING_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -158,9 +162,10 @@ def dataset_accel_bounds(trajectories):
 class PGDState:
     """Mutable loop state threaded through pgd_iteration.
 
-    states is the target's rollout (x, y, theta, v) at delta, as the
-    feasibility check returned it, or None (at the start, until a step is
-    accepted); then the gradient rolls delta out itself.
+    states is what the feasibility check measured at delta: the target's
+    rollout (x, y, theta, v) followed by each barrier side's parts; or None
+    (at the start, until a step is accepted), and then the gradient
+    measures delta itself.
     """
 
     delta: np.ndarray
@@ -176,47 +181,35 @@ def pgd_iteration(problem, state):
     """One PGD step; returns (next state, loss at the incoming iterate).
 
     problem.feasibility takes a stack of candidates (M, N, 2) and returns
-    (ok, worst distance, rollout states), one entry per candidate.  The
-    first feasible candidate of the halving sequence is accepted, and its
-    states feed the next call of problem.loss_and_grad(delta, states).
+    (ok, worst distance, measured states), one entry per candidate along
+    the leading axis of each.  The first feasible candidate of the halving
+    sequence is accepted, and its states feed the next call of
+    problem.loss_and_grad(delta, states).
     """
     loss, g = problem.loss_and_grad(state.delta, state.states)
-    steps = [state.alpha]
-    for _ in range(problem.max_halvings):
-        steps.append(steps[-1] * 0.5)
-    halvings = problem.max_halvings
-    accepted = None
-    seen = 0.0
-    for first in range(0, len(steps), HALVING_BLOCK):
-        block = np.array(steps[first:first + HALVING_BLOCK])
+    n_steps = problem.max_halvings + 1
+    for first in range(0, n_steps, HALVING_BLOCK):
+        block = (state.alpha * 0.5 ** first) * _HALVINGS[:n_steps - first]
         cands = np.clip(state.delta - block[:, None, None] * g, problem.lo, problem.hi)
         ok, worst, states = problem.feasibility(cands)
         if ok.any():
             k = int(np.argmax(ok))
-            halvings = first + k
-            accepted = cands[k]
-            seen = float(worst[k])
-            break
-    if accepted is None:
-        new_delta = state.delta
-        new_states = state.states
-        rejections = state.rejections + 1
-        max_dist = state.max_accepted_distance
-    else:
-        new_delta = accepted
-        # contiguous copies: the layout of a rollout of the candidate alone
-        new_states = tuple(np.ascontiguousarray(s[k]) for s in states)
-        rejections = state.rejections
-        max_dist = max(state.max_accepted_distance, seen)
-    excess = max(0.0, float(np.max(np.maximum(new_delta - problem.hi, problem.lo - new_delta))))
+            # A candidate clipped into a box with lo <= hi has no box excess.
+            # Contiguous copies: the layout of a measurement of it alone.
+            return replace(
+                state,
+                delta=cands[k],
+                alpha=state.alpha * problem.gamma,
+                states=tuple(np.ascontiguousarray(s[k]) for s in states),
+                halving_events=state.halving_events + first + k,
+                max_accepted_distance=max(state.max_accepted_distance, float(worst[k])),
+            ), loss
+    excess = float(np.max(np.maximum(state.delta - problem.hi, problem.lo - state.delta)))
     return replace(
         state,
-        delta=new_delta,
         alpha=state.alpha * problem.gamma,
-        states=new_states,
-        halving_events=state.halving_events + halvings,
-        rejections=rejections,
-        max_accepted_distance=max_dist,
+        halving_events=state.halving_events + problem.max_halvings,
+        rejections=state.rejections + 1,
         max_box_excess=max(state.max_box_excess, excess),
     ), loss
 
@@ -247,12 +240,12 @@ class AttackProblem:
         # initial iterate exactly at the distance cone's apex, where the norm
         # gradient is the zero subgradient instead of roundoff-direction noise.
         self.x_ref, self.y_ref = self.positions(np.zeros_like(ref.inputs))
-        # The barrier's sides, (rows of the rolled points, reference, mode):
-        # the observed side always, then the future side unless it is free.
-        # The loss adds their terms in this order.
-        sides = [(slice(0, n_past + 1), self.x_ref, cfg.barrier.observed_mode)]
+        # The barrier's sides: the observed side always, then the future side
+        # unless it is free.  The loss adds their terms in this order.
+        sides = [BarrierSide(cfg.barrier.observed_mode, self.x_ref, slice(0, n_past + 1))]
         if cfg.barrier.future_mode != "none":
-            sides.append((slice(n_past + 1, None), self.y_ref, cfg.barrier.future_mode))
+            sides.append(BarrierSide(cfg.barrier.future_mode, self.y_ref,
+                                     slice(n_past + 1, None)))
         self.sides = tuple(sides)
         self.max_halvings = cfg.max_halvings
         self.gamma = cfg.gamma
@@ -271,13 +264,12 @@ class AttackProblem:
     def loss_and_grad(self, delta, states=None):
         """Total loss at an (N, 2) perturbation and its gradient.
 
-        states is the rollout of delta when the caller has it (feasibility
-        returns it); otherwise delta is rolled out here.
+        states is what feasibility measured at delta when the caller has
+        it; otherwise delta is measured here.
         """
         cfg = self.cfg
-        d_max = cfg.barrier.d_max
         n_past = len(self.u_ref)
-        x, y, theta, v = self.rollout(delta) if states is None else states
+        x, y, theta, v, *parts = self.measure(delta)[1] if states is None else states
         pts = np.column_stack([x, y])
         past = pts[:n_past + 1]
         fut = pts[n_past + 1:]
@@ -296,10 +288,11 @@ class AttackProblem:
                 fut, xs, ys, self.ego_pts, self.clean_mean)
         else:
             raise ConfigError(f"unknown objective {name!r}")
-        for rows, ref, mode in self.sides:
-            term, g = barrier_grad(mode, pts[rows], ref, d_max)
+        for side in self.sides:
+            term, g = side.pullback(parts[:side.n_parts], cfg.barrier.d_max)
+            del parts[:side.n_parts]
             loss = loss + term
-            g_pts[rows] += g
+            g_pts[side.rows] += g
         g_pts[:n_past + 1] += predictor_pullback(g_xs, g_ys)
         *_, g_a, g_k = unicycle_scan_pullback(theta, v, self.ref_controls[:, 1] + delta[:, 1],
                                               self.dt, g_pts[:, 0], g_pts[:, 1])
@@ -321,19 +314,26 @@ class AttackProblem:
         n_past = len(self.u_ref)
         return pts[:n_past + 1], pts[n_past + 1:]
 
-    def feasibility(self, delta):
-        """(all constrained distances < d_max, largest distance seen, states).
+    def measure(self, delta):
+        """(largest constrained distance, states) for perturbations (..., N, 2).
 
-        delta may stack candidates, (..., N, 2); the first two results then
-        have the leading shape, and states is the rollout (x, y, theta, v)
-        the distances were measured on, each (..., N + 1).
+        states is the rollout (x, y, theta, v), each (..., N + 1), followed
+        by the parts of every side's measurement, which loss_and_grad reads
+        for one perturbation.
         """
         states = self.rollout(delta)
-        pts = np.stack(states[:2], axis=-1)
         worst = 0.0   # distances are >= 0, so the first side's maximum passes exactly
-        for rows, ref, mode in self.sides:
-            worst = np.maximum(worst, constraint_distances(pts[..., rows, :], ref, mode)
-                               .max(axis=-1))
+        for side in self.sides:
+            d, parts = side.measure(states[0], states[1])
+            worst = np.maximum(worst, d.max(axis=-1))
+            states += parts
+        return worst, states
+
+    def feasibility(self, delta):
+        """(all constrained distances < d_max, largest distance seen, states)
+        as measure gives them; delta may stack candidates, (..., N, 2), and
+        the first two results then have the leading shape."""
+        worst, states = self.measure(delta)
         return worst < self.cfg.barrier.d_max, worst, states
 
 

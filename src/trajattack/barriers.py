@@ -13,8 +13,16 @@ distance and additionally pins the prediction point (the last observed
 position) by the time distance, so the target still reaches the turn
 entry on time.
 
-The step-size control (constraint_distances) and the attack's gradient
-(barrier_grad) read the same distance arrays.
+A BarrierSide holds one form against one reference, with the reference
+polyline's segment geometry derived once.  Its measure takes a stack of
+trajectories and returns their constrained distances together with the
+arrays they came from (offsets to every reference point, the
+point-to-segment table); its pullback forms the barrier term and its
+gradient from one trajectory's slice of that measurement.  The attack
+measures the halving candidates once and hands the accepted candidate's
+slice to the gradient, so the step-size control and the barrier read the
+same table.  constraint_distances and barrier_grad are the one-trajectory
+use of the same two methods.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .core import ConfigError, DataError, check_numeric_fields, hypot_grad
 
 OBSERVED_MODES = ("time", "time_traj")
 FUTURE_MODES = ("none", "traj")
+MODES = ("time", "traj", "time_traj")
 
 
 class InfeasibleError(RuntimeError):
@@ -53,91 +62,113 @@ class BarrierConfig:
                 f"future_mode {self.future_mode!r} not in {FUTURE_MODES}")
 
 
-def _matched_distances(pts, ref):
-    """Displacement of each point from its reference point; (offsets, (..., N))."""
-    if pts.shape[-2] != len(ref):
-        raise DataError("matched distances: trajectories differ in length")
-    off = pts - ref
-    return off, np.hypot(off[..., 0], off[..., 1])
+class BarrierSide:
+    """One barrier form against one reference trajectory.
 
-
-def _segment_table(points, ref):
-    """Distances of points (..., N, 2) to every segment of a reference polyline.
-
-    Returns (d, branch, parts): d is (..., N, S); branch is 0 where the
-    nearest point of the segment is its end c (or the segment is
-    degenerate), 1 where it is interior, 2 where it is the start b; parts
-    holds the offsets from c and b and the signed cross product the
-    pullback needs.  Segment j runs from reference point j to j + 1, so the
-    offsets and their norms are formed once per reference point and shared.
+    rows selects the constrained points from the x, y rows measure is
+    given (all of them by default).  For the polyline forms the segment
+    geometry is derived here, once: segment j runs from reference point j
+    (its start b) to j + 1 (its end c); it keeps the direction (ux, uy) =
+    b - c, the squared length, the squared length with degenerate segments
+    set to 1, the length and the degenerate mask.
+    n_parts is the number of arrays measure hands the pullback.
     """
-    pts = np.asarray(points, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    if ref.ndim != 2 or ref.shape[1] != 2 or len(ref) < 2:
-        raise DataError("reference polyline needs shape (N>=2, 2)")
-    ux = ref[:-1, 0] - ref[1:, 0]
-    uy = ref[:-1, 1] - ref[1:, 1]
-    seg2 = ux * ux + uy * uy
-    safe2 = np.where(seg2 == 0.0, 1.0, seg2)
-    seg = np.sqrt(safe2)
-    ox = pts[..., 0:1] - ref[:, 0]
-    oy = pts[..., 1:2] - ref[:, 1]
-    norm = np.hypot(ox, oy)
-    wx, wy, d_c = ox[..., 1:], oy[..., 1:], norm[..., 1:]
-    bx, by, d_b = ox[..., :-1], oy[..., :-1], norm[..., :-1]
-    r = (wx * ux + wy * uy) / safe2
-    cross = wx * uy - wy * ux
-    d_perp = np.abs(cross) / seg
-    low = (r <= 0.0) | (seg2 == 0.0)
-    interior = r < 1.0
-    d = np.where(low, d_c, np.where(interior, d_perp, d_b))
-    branch = np.where(low, 0, np.where(interior, 1, 2))
-    return d, branch, (wx, wy, bx, by, cross, ux, uy, seg)
 
+    def __init__(self, mode, ref_pts, rows=slice(None)):
+        if mode not in MODES:
+            raise ConfigError(f"unknown barrier mode {mode!r}")
+        ref = np.asarray(ref_pts, dtype=float)
+        self.mode = mode
+        self.rows = rows
+        self.n_parts = 4 if mode == "time_traj" else 3
+        if mode == "time":
+            self.ref_x, self.ref_y = ref[..., 0], ref[..., 1]
+            return
+        if ref.ndim != 2 or ref.shape[1] != 2 or len(ref) < 2:
+            raise DataError("reference polyline needs shape (N>=2, 2)")
+        self.ref_x, self.ref_y = ref[:, 0].copy(), ref[:, 1].copy()
+        self.ux = self.ref_x[:-1] - self.ref_x[1:]
+        self.uy = self.ref_y[:-1] - self.ref_y[1:]
+        self.seg2 = self.ux * self.ux + self.uy * self.uy
+        self.degenerate = self.seg2 == 0.0
+        self.safe2 = np.where(self.degenerate, 1.0, self.seg2)
+        self.seg = np.sqrt(self.safe2)
 
-def _polyline_distances(points, ref):
-    """Distance from each point (..., N, 2) to a reference polyline; (..., N)."""
-    return _segment_table(points, ref)[0].min(axis=-1)
+    def measure(self, x, y):
+        """Constrained distances (..., M) of trajectories given as x, y rows
+        (..., N), and the parts the pullback reads.
 
+        "time": the matched-index displacement per point; parts are the
+        offsets and the distances.  "traj": the polyline distance per
+        point; parts are the offsets (..., N, R) to every reference point
+        and the point-to-segment table (..., N, S).  "time_traj": the
+        polyline distances and then the final point's matched
+        displacement, which is also the fourth part.
+        """
+        x = x[..., self.rows]
+        y = y[..., self.rows]
+        if self.mode == "time":
+            if x.shape[-1] != self.ref_x.shape[-1]:
+                raise DataError("matched distances: trajectories differ in length")
+            ox = x - self.ref_x
+            oy = y - self.ref_y
+            d = np.hypot(ox, oy)
+            return d, (ox, oy, d)
+        ox = x[..., None] - self.ref_x
+        oy = y[..., None] - self.ref_y
+        table = self._segment_table(ox, oy)
+        d = table.min(axis=-1)
+        if self.mode == "traj":
+            return d, (ox, oy, table)
+        pinned = np.hypot(ox[..., -1:, -1], oy[..., -1:, -1])
+        return np.concatenate([d, pinned], axis=-1), (ox, oy, table, pinned)
 
-def _polyline_distances_grad(points, ref):
-    """Polyline distance per point and its gradient wrt the point, (N, 2).
+    def _segment_table(self, ox, oy):
+        """Distance of each point to every segment, from its offsets to every
+        reference point.  The nearest point of segment j is its end c = ref
+        j + 1 where r <= 0 (or the segment is degenerate), its start b where
+        r >= 1, and the foot of the perpendicular in between."""
+        norm = np.hypot(ox, oy)
+        wx, wy = ox[..., 1:], oy[..., 1:]
+        r = (wx * self.ux + wy * self.uy) / self.safe2
+        d_perp = np.abs(wx * self.uy - wy * self.ux) / self.seg
+        low = (r <= 0.0) | self.degenerate
+        return np.where(low, norm[..., 1:], np.where(r < 1.0, d_perp, norm[..., :-1]))
 
-    The nearest segment is the first minimizer; the gradient follows that
-    segment's active branch, with the zero subgradient at a norm or
-    absolute-value kink.
-    """
-    d, branch, (wx, wy, bx, by, cross, ux, uy, seg) = _segment_table(points, ref)
-    rows = np.arange(len(d))
-    j = np.argmin(d, axis=1)
-    dist = d[rows, j]
-    kind = branch[rows, j]
-    gcx, gcy = hypot_grad(wx[rows, j], wy[rows, j], dist)
-    gbx, gby = hypot_grad(bx[rows, j], by[rows, j], dist)
-    s = np.sign(cross[rows, j]) / seg[j]
-    gx = np.choose(kind, (gcx, s * uy[j], gbx))
-    gy = np.choose(kind, (gcy, -s * ux[j], gby))
-    return dist, np.column_stack([gx, gy])
+    def pullback(self, parts, d_max):
+        """Barrier term and its gradient wrt the side's points, (N, 2), from
+        one trajectory's parts.
 
-
-def constraint_distances(points, ref_pts, mode):
-    """All distances a barrier form constrains, along the last axis.
-
-    points may stack several trajectories, (..., N, 2); the result is
-    (..., M).  mode "time": matched-index displacement per point.  mode
-    "time_traj": polyline distance per point plus the matched displacement
-    of the final point.  mode "traj": polyline distance per point.
-    """
-    pts = np.asarray(points, dtype=float)
-    ref = np.asarray(ref_pts, dtype=float)
-    if mode == "time":
-        return _matched_distances(pts, ref)[1]
-    if mode == "traj":
-        return _polyline_distances(pts, ref)
-    if mode == "time_traj":
-        final = _matched_distances(pts[..., -1:, :], ref[-1:])[1]
-        return np.concatenate([_polyline_distances(pts, ref), final], axis=-1)
-    raise ConfigError(f"unknown barrier mode {mode!r}")
+        The nearest segment is the table's first minimizer; r and the cross
+        product are formed again at that entry only, and the gradient
+        follows its active branch, with the zero subgradient at a norm or
+        absolute-value kink.
+        """
+        if self.mode == "time":
+            ox, oy, d = parts
+            return _mean_log_barrier(d, np.column_stack(hypot_grad(ox, oy, d)), d_max)
+        ox, oy, table = parts[:3]
+        rows = np.arange(len(table))
+        j = np.argmin(table, axis=1)
+        dist = table[rows, j]
+        wx, wy = ox[rows, j + 1], oy[rows, j + 1]
+        bx, by = ox[rows, j], oy[rows, j]
+        ux, uy = self.ux[j], self.uy[j]
+        r = (wx * ux + wy * uy) / self.safe2[j]
+        kind = np.where((r <= 0.0) | self.degenerate[j], 0, np.where(r < 1.0, 1, 2))
+        gcx, gcy = hypot_grad(wx, wy, dist)
+        gbx, gby = hypot_grad(bx, by, dist)
+        s = np.sign(wx * uy - wy * ux) / self.seg[j]
+        grad_d = np.column_stack([np.choose(kind, (gcx, s * uy, gbx)),
+                                  np.choose(kind, (gcy, -s * ux, gby))])
+        total, grad = _mean_log_barrier(dist, grad_d, d_max)
+        if self.mode == "traj":
+            return total, grad
+        pinned = parts[3]
+        pin, g_last = _mean_log_barrier(
+            pinned, np.column_stack(hypot_grad(ox[-1:, -1], oy[-1:, -1], pinned)), d_max)
+        grad[-1] += g_last[0]
+        return total + pin, grad
 
 
 def _mean_log_barrier(d, grad_d, d_max):
@@ -149,23 +180,27 @@ def _mean_log_barrier(d, grad_d, d_max):
     return -np.log(gap).sum() / n, grad_d / (gap * n)[:, None]
 
 
+def _xy(points):
+    pts = np.asarray(points, dtype=float)
+    return pts[..., 0], pts[..., 1]
+
+
+def constraint_distances(points, ref_pts, mode):
+    """All distances a barrier form constrains, along the last axis.
+
+    points may stack several trajectories, (..., N, 2); the result is
+    (..., M).  mode "time": matched-index displacement per point.  mode
+    "time_traj": polyline distance per point plus the matched displacement
+    of the final point.  mode "traj": polyline distance per point.
+    """
+    return BarrierSide(mode, ref_pts).measure(*_xy(points))[0]
+
+
 def barrier_grad(mode, points, ref_pts, d_max):
     """A barrier form on (N, 2) arrays; returns (loss, d/dpoints).
 
     Reads the distances constraint_distances checks, so an iterate the
     step-size control accepts always gives a finite barrier.
     """
-    pts = np.asarray(points, dtype=float)
-    ref = np.asarray(ref_pts, dtype=float)
-    if mode == "time":
-        off, d = _matched_distances(pts, ref)
-        return _mean_log_barrier(d, np.column_stack(hypot_grad(off[:, 0], off[:, 1], d)),
-                                 d_max)
-    if mode == "traj":
-        return _mean_log_barrier(*_polyline_distances_grad(pts, ref), d_max)
-    if mode == "time_traj":
-        total, grad = barrier_grad("traj", pts, ref, d_max)
-        pinned, g_last = barrier_grad("time", pts[-1:], ref[-1:], d_max)
-        grad[-1] += g_last[0]
-        return total + pinned, grad
-    raise ConfigError(f"unknown barrier mode {mode!r}")
+    side = BarrierSide(mode, ref_pts)
+    return side.pullback(side.measure(*_xy(points))[1], d_max)

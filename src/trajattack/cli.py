@@ -172,7 +172,8 @@ def cmd_attack(args):
 
     base = AttackConfig(barrier=_resolve(BarrierConfig(), file_barrier, flag_barrier,
                                          args.config))
-    if {"a_min", "a_max"} <= set(file_attack) | set(flag_attack):
+    given_bounds = {"a_min", "a_max"} & (set(file_attack) | set(flag_attack))
+    if len(given_bounds) == 2:
         bounds_source = "explicit"
     else:
         episodes = [Trajectory(np.vstack([past.points, future.points]), s.dt,
@@ -185,6 +186,11 @@ def cmd_attack(args):
         bounds_source = "dataset"
     cfg = _resolve(base, file_attack, flag_attack, args.config)
     if cfg.a_min >= cfg.a_max:
+        if not given_bounds:
+            # a property of the data (every vehicle at constant speed), not a setting
+            raise DataError(f"{args.scenarios}: the acceleration range recovered from the "
+                            f"scenarios collapsed to [{cfg.a_min}, {cfg.a_max}]; "
+                            "set it with --amin/--amax")
         raise ConfigError(f"acceleration bounds collapsed: [{cfg.a_min}, {cfg.a_max}]")
     predictor_cfg = _resolve(PredictorConfig(), file_predictor, _given(seed=args.seed),
                              args.config)

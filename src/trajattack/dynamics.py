@@ -132,27 +132,26 @@ def inverse_states(xs, ys, dt):
         raise DataError("extraction needs at least 2 points")
     vx = (xs[1:] - xs[:-1]) / dt
     vy = (ys[1:] - ys[:-1]) / dt
-    vxl = vx.tolist()
-    vyl = vy.tolist()
-    theta = np.zeros(n)
-    v = np.zeros(n)
-    sign = np.zeros(n - 1)
+    theta = [0.0] * n
+    v = [0.0] * n
+    sign = [0.0] * (n - 1)
     th = None      # the heading before the current stop; none before the start
     rest = 0       # the first state that waits for the next moving step
-    for t in range(n - 1):
-        if math.hypot(vxl[t], vyl[t]) < V_EPS:
+    for t, (sx, sy) in enumerate(zip(vx.tolist(), vy.tolist())):
+        speed = math.hypot(sx, sy)
+        if speed < V_EPS:
             continue
-        ahead = th is None or abs(wrap_angle(math.atan2(vyl[t], vxl[t]) - th)) <= _HALF_PI
+        ahead = th is None or abs(wrap_angle(math.atan2(sy, sx) - th)) <= _HALF_PI
         d = 1.0 if ahead else -1.0
-        th = math.atan2(vyl[t] * d, vxl[t] * d)
-        theta[rest:t + 2] = th
-        v[t + 1] = math.hypot(vxl[t], vyl[t]) * d
+        th = math.atan2(sy * d, sx * d)
+        theta[rest:t + 2] = [th] * (t + 2 - rest)
+        v[t + 1] = speed * d
         sign[t] = d
         rest = t + 2
     if th is not None:
-        theta[rest:] = th
+        theta[rest:] = [th] * (n - rest)
     v[0] = v[1]
-    return theta, v, vx, vy, sign
+    return np.array(theta), np.array(v), vx, vy, np.array(sign)
 
 
 def state_controls(theta, v, dt):

@@ -80,6 +80,12 @@ PRESETS = {
 SWEEP_LIMITS = {"v_target": (0.0, 60.0), "v_ego": (0.0, 60.0),
                 "turn_radius": (0.0, 1000.0), "gap_s": (-60.0, 60.0)}
 
+# Plausibility limits of scenario data: a sampling interval from 1 ms to 10 s,
+# and no vehicle faster than 100 m/s (360 km/h) over any step.  Coordinates
+# are not capped: map-frame positions (UTM northings near 5e6 m) are real.
+DT_LIMITS = (1e-3, 10.0)
+MAX_STEP_SPEED = 100.0
+
 
 def sweep_range(key, pair):
     """A validated sweep range (LO, HI) for one of the SWEEP_LIMITS keys."""
@@ -147,8 +153,8 @@ def generate_left_turn(params, seed=0):
     params and seed give a bitwise identical scenario.
     """
     p = params
-    if not (p.dt > 0.0 and math.isfinite(p.dt)):
-        raise ConfigError(f"dt must be positive, got {p.dt}")
+    if not DT_LIMITS[0] <= p.dt <= DT_LIMITS[1]:   # false for NaN
+        raise ConfigError(f"dt must be in [{DT_LIMITS[0]:g}, {DT_LIMITS[1]:g}] s, got {p.dt}")
     if p.H < 2 or p.T < 2:
         raise ConfigError(f"horizons must be at least 2, got H={p.H}, T={p.T}")
     if p.v_target < 0.0 or p.v_ego < 0.0:
@@ -283,7 +289,7 @@ def _scenario_from_record(record, where):
     if "vehicle_width" in record:
         vehicle["vehicle_width"] = float(record["vehicle_width"])
     try:
-        return Scenario(
+        scenario = Scenario(
             ego_past=Trajectory(arrays[("ego", "past")], dt, t0_index=-(h - 1)),
             ego_future=Trajectory(arrays[("ego", "future")], dt, t0_index=1),
             target_past=Trajectory(arrays[("target", "past")], dt, t0_index=-(h - 1)),
@@ -291,11 +297,32 @@ def _scenario_from_record(record, where):
             id=scenario_id, **vehicle)
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from None
+    _check_plausible(scenario, where)
+    return scenario
+
+
+def _check_plausible(scenario, where):
+    """Refuse a sampling interval outside DT_LIMITS and a step faster than
+    MAX_STEP_SPEED, before any attack reads the scenario."""
+    dt = scenario.dt
+    if not DT_LIMITS[0] <= dt <= DT_LIMITS[1]:
+        raise DataError(f"{where}: dt {dt!r} s outside the plausible range "
+                        f"[{DT_LIMITS[0]:g}, {DT_LIMITS[1]:g}] s")
+    for agent in ("target", "ego"):
+        episode = np.vstack([_traj_of(scenario, agent, "past").points,
+                             _traj_of(scenario, agent, "future").points])
+        with np.errstate(over="ignore"):   # finite coordinates can differ by more than 1.8e308
+            step = np.diff(episode, axis=0)
+            fastest = float(np.max(np.hypot(step[:, 0], step[:, 1]))) / dt
+        if not fastest <= MAX_STEP_SPEED:
+            raise DataError(f"{where}: {agent} moves {fastest:.3g} m/s over one step, "
+                            f"above the plausible {MAX_STEP_SPEED:g} m/s")
 
 
 def _ingest_jsonl(path):
+    """Scenarios of a JSON lines file and the reasons of its skipped rows."""
     out = []
-    skipped = 0
+    skipped = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -303,18 +330,20 @@ def _ingest_jsonl(path):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                log.warning("%s:%d: invalid JSON (%s); row skipped", path, lineno, exc)
-                skipped += 1
+                skipped.append(f"{path}:{lineno}: invalid JSON ({exc})")
+                log.warning("%s; row skipped", skipped[-1])
                 continue
             try:
                 out.append(_scenario_from_record(record, f"{path}:{lineno}"))
             except DataError as exc:
+                skipped.append(str(exc))
                 log.warning("%s; row skipped", exc)
-                skipped += 1
     return out, skipped
 
 
 def _ingest_csv(path):
+    """Scenarios of a long-format CSV file and the reasons of its skipped
+    scenarios."""
     groups = {}
     first_line = {}
     with open(path, newline="") as fh:
@@ -339,7 +368,7 @@ def _ingest_csv(path):
             except ValueError as exc:
                 log.warning("%s:%d: malformed row (%s); skipped", path, lineno, exc)
     out = []
-    skipped = 0
+    skipped = []
     for sid, entry in groups.items():
         where = f"{path}:{first_line[sid]}"
         try:
@@ -361,16 +390,18 @@ def _ingest_csv(path):
                 record["_".join(key)] = [(x, y) for _, x, y, _, _ in rows]
             out.append(_scenario_from_record(record, where))
         except DataError as exc:
+            skipped.append(str(exc))
             log.warning("%s; scenario skipped", exc)
-            skipped += 1
     return out, skipped
 
 
 def ingest_scenarios(path, fmt=None):
     """Read and validate a scenario file.
 
-    Invalid rows are skipped with a logged diagnostic carrying the line
-    number; a file yielding no valid scenario raises DataError.
+    Invalid rows, implausible ones among them (see _check_plausible), are
+    skipped with a logged diagnostic carrying the line number; a file
+    yielding no valid scenario raises DataError, naming the first row's
+    defect.
     """
     fmt = _infer_format(path, fmt)
     try:
@@ -379,6 +410,7 @@ def ingest_scenarios(path, fmt=None):
         raise DataError(f"{path}: cannot read scenario file: {exc}") from None
     if not out:
         if skipped:
-            raise DataError(f"{path}: all {skipped} scenario rows invalid")
+            raise DataError(f"{path}: all {len(skipped)} scenario rows invalid; "
+                            f"first: {skipped[0]}")
         raise DataError(f"{path}: no scenarios found")
     return out

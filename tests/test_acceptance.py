@@ -17,7 +17,7 @@ from oracles import (box_overlap_oracle, central_difference_error,
                      segment_distance_bruteforce)
 from tape_reference import finite_diff_check, reference_loss
 from trajattack.attack import AttackConfig, AttackProblem
-from trajattack.barriers import BarrierConfig, _segment_table, constraint_distances
+from trajattack.barriers import BarrierConfig, BarrierSide, constraint_distances
 from trajattack.cli import main
 from trajattack.core import AgentState, ControlSequence, Trajectory, box_overlap_mask
 from trajattack.dynamics import extract_controls, rollout
@@ -109,7 +109,8 @@ def _segment_gap(points, ref):
     """Margin between best and second-best segment for each probe point."""
     if len(ref) < 3:
         return math.inf
-    d = np.sort(_segment_table(points, ref)[0], axis=1)
+    _, (_, _, table) = BarrierSide("traj", ref).measure(points[:, 0], points[:, 1])
+    d = np.sort(table, axis=1)
     return float((d[:, 1] - d[:, 0]).min())
 
 

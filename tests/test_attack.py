@@ -139,7 +139,8 @@ class TestDatasetAccelBounds:
 class _StubProblem:
     """Minimal loss/feasibility oracle for exercising pgd_iteration.
 
-    Its "rollout" of a candidate is the candidate itself, so a test can see
+    Its "rollout" of a candidate is the candidate itself and its one
+    barrier measurement is the candidate's magnitude, so a test can see
     which candidate's states the loop carries.
     """
 
@@ -154,12 +155,13 @@ class _StubProblem:
         self._loss = loss
 
     def loss_and_grad(self, delta, states=None):
-        assert states is None or np.array_equal(states[0], delta)
+        assert states is None or (np.array_equal(states[0], delta)
+                                  and np.array_equal(states[1], np.abs(delta)))
         return self._loss, self._grad.copy()
 
     def feasibility(self, deltas):
         ok = np.array([bool(self._feasible(d)) for d in deltas])
-        return ok, np.abs(deltas).max(axis=(1, 2)), (deltas.copy(),)
+        return ok, np.abs(deltas).max(axis=(1, 2)), (deltas.copy(), np.abs(deltas))
 
 
 class TestPgdIteration:
@@ -194,8 +196,10 @@ class TestPgdIteration:
         assert state.halving_events == 2
         assert math.isclose(state.delta[0, 0], -0.02, abs_tol=1e-15)
         assert math.isclose(state.alpha, 0.08 * 0.99, abs_tol=1e-15)
-        # the accepted candidate's rollout is carried to the next gradient
+        # the accepted candidate's rollout and measurement are carried to the
+        # next gradient
         np.testing.assert_array_equal(state.states[0], state.delta)
+        np.testing.assert_array_equal(state.states[1], np.abs(state.delta))
 
     def test_exhausted_halvings_keep_previous_iterate(self):
         problem = _StubProblem(grad=[[1.0, 0.0]], lo=[[-1, -1]], hi=[[1, 1]],
@@ -397,7 +401,8 @@ def test_future_none_constrains_nothing():
 
 @pytest.mark.parametrize("barrier", [("time", "none"), ("time_traj", "traj")])
 def test_stacked_feasibility_equals_one_at_a_time(barrier):
-    """The step search checks candidates as a stack; each answer is bitwise
+    """The step search checks candidates as a stack; each answer, the
+    rollout and every side's measurement the gradient reads, is bitwise
     the one a single-candidate check gives."""
     rng = np.random.default_rng(21)
     scenario = generate_left_turn(sample_left_turn_params(rng), seed=21)
@@ -409,11 +414,13 @@ def test_stacked_feasibility_equals_one_at_a_time(barrier):
     cands = np.clip(direction * 0.5 ** np.arange(12)[:, None, None], problem.lo, problem.hi)
     ok, worst, states = problem.feasibility(cands)
     assert ok.shape == worst.shape == (12,)
-    assert all(s.shape == (12, problem.n_controls + 1) for s in states)
+    assert all(s.shape == (12, problem.n_controls + 1) for s in states[:4])
+    assert len(states) == 4 + sum(side.n_parts for side in problem.sides)
     assert not ok[0] and ok[-1]
     for k, cand in enumerate(cands):
         one_ok, one_worst, one_states = problem.feasibility(cand)
         assert one_ok == ok[k] and one_worst == worst[k]
+        assert len(one_states) == len(states)
         assert all(np.array_equal(one, s[k]) for one, s in zip(one_states, states))
 
 
@@ -443,9 +450,9 @@ def test_accepted_iterates_are_boxed_and_feasible(seed, preset, config, alpha0, 
     assert state.max_accepted_distance < cfg.barrier.d_max
 
 
-class _Rerolling:
-    """An AttackProblem whose gradient rolls every iterate out afresh
-    instead of reading the states the feasibility check carried."""
+class _Remeasuring:
+    """An AttackProblem whose gradient rolls out and measures every iterate
+    afresh instead of reading the states the feasibility check carried."""
 
     def __init__(self, problem):
         self._problem = problem
@@ -461,10 +468,11 @@ class _Rerolling:
 @pytest.mark.parametrize("objective,observed,future", GRID)
 def test_carried_states_equal_a_fresh_rollout(left_turn, objective, observed, future,
                                               max_halvings):
-    """Reading the accepted candidate's rollout from the feasibility check
-    changes no bit: every iterate, the loss trace, the halvings and the
-    diagnostics equal those of a loop that re-rolls each iterate.  Two
-    halvings leave the traj configurations with rejected steps."""
+    """Reading the accepted candidate's rollout and barrier measurement from
+    the feasibility check changes no bit: every iterate, the loss trace, the
+    halvings and the diagnostics equal those of a loop that re-measures each
+    iterate, and the carried states equal a fresh measurement.  Two halvings
+    leave the traj configurations with rejected steps."""
     cfg = AttackConfig(objective=objective, a_min=-4.0, a_max=4.0, max_halvings=max_halvings,
                        barrier=BarrierConfig(observed_mode=observed, future_mode=future))
     predictor = KinematicPredictor(PredictorConfig())
@@ -474,11 +482,12 @@ def test_carried_states_equal_a_fresh_rollout(left_turn, objective, observed, fu
     trace = []
     for _ in range(cfg.max_iterations):
         carried, _ = pgd_iteration(problem, carried)
-        fresh, loss = pgd_iteration(_Rerolling(problem), fresh)
+        fresh, loss = pgd_iteration(_Remeasuring(problem), fresh)
         assert np.array_equal(carried.delta, fresh.delta)
         if carried.states is not None:
-            assert all(np.array_equal(s, r)
-                       for s, r in zip(carried.states, problem.rollout(carried.delta)))
+            measured = problem.feasibility(carried.delta)[2]
+            assert len(carried.states) == len(measured)
+            assert all(np.array_equal(s, m) for s, m in zip(carried.states, measured))
         trace.append(loss)
     result = run_attack(left_turn, cfg, predictor)
     assert result.loss_trace == tuple(trace)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from tape_reference import d_traj, value
-from trajattack.barriers import (FUTURE_MODES, OBSERVED_MODES, BarrierConfig,
+import tape_reference
+from tape_reference import Var, d_traj, grad, value
+from trajattack.barriers import (FUTURE_MODES, OBSERVED_MODES, BarrierConfig, BarrierSide,
                                  InfeasibleError, barrier_grad, constraint_distances)
 from trajattack.core import ConfigError, DataError
 
@@ -195,3 +196,39 @@ class TestConstraintDistances:
         assert d.shape[:2] == (3, 4)
         for idx in np.ndindex(3, 4):
             assert np.array_equal(d[idx], constraint_distances(stack[idx], STRAIGHT, mode))
+
+
+# A reference with a repeated point (segment 2 is degenerate).
+KINKED = np.array([(0.0, 0.0), (1.0, 0.2), (2.0, 0.1), (2.0, 0.1), (3.0, 0.5),
+                   (4.0, 0.4), (5.0, 1.0)])
+
+
+@pytest.mark.parametrize("mode", ["time", "traj", "time_traj"])
+def test_one_trajectory_grad_equals_the_carried_slice(mode):
+    """barrier_grad on one trajectory is bitwise the pullback of that
+    trajectory's slice of a stacked measurement, which is what the attack
+    carries from its feasibility check to its gradient; both match the tape
+    reference.  The first point lies before the polyline's start, where the
+    nearest point is the start of segment 0; others sit on the repeated
+    reference point, exactly at a segment end (bitwise on vertex 4) and on
+    their matched reference."""
+    rng = np.random.default_rng(7)
+    stack = KINKED + rng.uniform(-0.4, 0.4, (6, len(KINKED), 2))
+    stack[:, 0] = KINKED[0] - rng.uniform(0.1, 0.3, (6, 1)) * (KINKED[1] - KINKED[0])
+    stack[:, 1] = KINKED[3]
+    stack[:, 2] = KINKED[4]
+    stack[:, 5] = KINKED[5]
+    side = BarrierSide(mode, KINKED)
+    d, parts = side.measure(stack[..., 0], stack[..., 1])
+    assert len(parts) == side.n_parts
+    tape_form = getattr(tape_reference, f"barrier_{mode}")
+    for k, points in enumerate(stack):
+        carried = side.pullback([np.ascontiguousarray(p[k]) for p in parts], 2.0)
+        loss, g = barrier_grad(mode, points, KINKED, 2.0)
+        assert carried[0] == loss and np.array_equal(carried[1], g)
+        assert np.array_equal(d[k], constraint_distances(points, KINKED, mode))
+        leaves = [[Var(float(x)), Var(float(y))] for x, y in points]
+        tape_loss = tape_form(leaves, KINKED, 2.0)
+        tape_g = np.array(grad(tape_loss, [v for p in leaves for v in p])).reshape(g.shape)
+        assert abs(loss - value(tape_loss)) <= 1e-12 * abs(value(tape_loss))
+        assert np.max(np.abs(g - tape_g)) <= 1e-12 * np.max(np.abs(tape_g))

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from trajattack.barriers import BarrierConfig
 from trajattack.cli import GRID, PARALLEL_ENV, _stable_seed, main
 from trajattack.metrics import COLUMNS, DIAGNOSTICS, read_rows_jsonl
 from trajattack.predictor import PredictorConfig
+from trajattack import scenario_io
 from trajattack.scenario_io import LeftTurnParams, generate_left_turn, write_scenarios
 
 
@@ -244,6 +247,59 @@ class TestAttack:
         assert run("attack", "--scenarios", scene_file, "--out", tmp_path / "x",
                    "--objective", "ade", "--amin", 2.0, "--amax", -2.0) == 2
 
+    def test_collapsed_dataset_accel_range_is_data_error(self, tmp_path, capsys):
+        """Scenarios in which every vehicle stands still recover the range
+        [0, 0]: a property of the data, named with the file and the flags
+        that set the range, not a configuration error.  Equal bounds given
+        by flag or config file stay a configuration error."""
+        still = tmp_path / "still.jsonl"
+        assert run("generate", "--n", 2, "--seed", 0, "--v-target", 0, 0,
+                   "--v-ego", 0, 0, "--out", still) == 0
+        capsys.readouterr()
+        assert run("attack", "--scenarios", still, "--out", tmp_path / "x",
+                   "--objective", "ade", "--iters", 1) == 3
+        err = capsys.readouterr().err
+        assert str(still) in err and "--amin/--amax" in err
+        assert not list(tmp_path.glob("x*"))
+        assert run("attack", "--scenarios", still, "--out", tmp_path / "y",
+                   "--objective", "ade", "--iters", 1, "--amin", -3, "--amax", 3) == 0
+        assert run("attack", "--scenarios", still, "--out", tmp_path / "z",
+                   "--objective", "ade", "--iters", 1, "--amin", 1, "--amax", 1) == 2
+        cfg = tmp_path / "equal.json"
+        cfg.write_text(json.dumps({"a_min": 0.5, "a_max": 0.5}))
+        assert run("attack", "--scenarios", still, "--out", tmp_path / "z",
+                   "--objective", "ade", "--iters", 1, "--config", cfg) == 2
+        assert "configuration error: acceleration bounds collapsed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("z*"))
+
+    @pytest.mark.parametrize("edit", ["coordinates", "dt-large", "dt-small"])
+    def test_implausible_scenario_file_is_data_error(self, tmp_path, capsys, edit):
+        """Hand-edited copies of a generated scene, coordinates scaled by
+        1e150 or dt set to 1e300 or 1e-300, are refused at ingest: exit 3
+        naming the file and the record, no output file, no RuntimeWarning
+        from the attack's arithmetic."""
+        base = tmp_path / "base.jsonl"
+        assert run("generate", "--n", 1, "--seed", 0, "--out", base) == 0
+        record = json.loads(base.read_text())
+        if edit == "coordinates":
+            for agent in ("target", "ego"):
+                for role in ("past", "future"):
+                    key = f"{agent}_{role}"
+                    record[key] = [[x * 1e150, y * 1e150] for x, y in record[key]]
+        else:
+            record["dt"] = 1e300 if edit == "dt-large" else 1e-300
+        scenes = tmp_path / "edited.jsonl"
+        scenes.write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("attack", "--scenarios", scenes, "--out", tmp_path / "x",
+                       "--objective", "ade") == 3
+        err = capsys.readouterr().err
+        assert f"{scenes}:1:" in err
+        assert ("m/s over one step" if edit == "coordinates" else "dt") in err
+        assert not list(tmp_path.glob("x*"))
+
     def test_unwritable_output_is_reported(self, scene_file, tmp_path):
         code = run("attack", "--scenarios", scene_file,
                    "--out", tmp_path / "nodir" / "x",
@@ -251,9 +307,11 @@ class TestAttack:
         assert code == 4
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_row_is_data_error(self, tmp_path, capsys):
+    def test_non_finite_row_is_data_error(self, tmp_path, capsys, monkeypatch):
         """An attack whose rows overflow names the row and column, exits 3
-        and writes nothing."""
+        and writes nothing.  Ingest refuses such a speed, so the row check
+        behind it is reached with the plausibility limit lifted."""
+        monkeypatch.setattr(scenario_io, "MAX_STEP_SPEED", math.inf)
         scenes = tmp_path / "huge.jsonl"
         # generate refuses such speeds; the file is written through the library
         params = LeftTurnParams(v_target=1e300, v_ego=8.0, turn_radius=6.5, gap_s=1.2)

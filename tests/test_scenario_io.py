@@ -10,7 +10,7 @@ import pytest
 from conftest import make_trajectory
 from trajattack.core import ConfigError, DataError, GenerationError
 from trajattack.dynamics import extract_controls
-from trajattack.scenario_io import (PRESETS, LeftTurnParams,
+from trajattack.scenario_io import (MAX_STEP_SPEED, PRESETS, LeftTurnParams,
                                     generate_left_turn, ingest_scenarios,
                                     sample_left_turn_params, write_scenarios)
 
@@ -113,6 +113,8 @@ class TestGeneration:
         ({"v_target": -1.0}, ConfigError),
         ({"cross_fraction": 1.0}, ConfigError),
         ({"turn_radius": 4.0}, GenerationError),
+        ({"dt": 20.0}, ConfigError),
+        ({"dt": 1e-4}, ConfigError),
     ])
     def test_rejects_bad_params(self, overrides, err):
         with pytest.raises(err):
@@ -213,3 +215,43 @@ class TestFiles:
         write_scenarios(path, scenarios)
         back = ingest_scenarios(path)
         assert back[0].vehicle_length == 4.2   # CSV stores positions only
+
+
+class TestPlausibility:
+    def test_map_frame_coordinates_are_accepted(self, tmp_path):
+        """Coordinates are not capped: a scene shifted to UTM-like
+        northings and eastings ingests unchanged."""
+        s = TestFiles.scenarios(1)[0]
+        shift = np.array([6.9e5, 5.3e6])
+        moved = dataclasses.replace(s, **{
+            f"{agent}_{role}": dataclasses.replace(
+                getattr(s, f"{agent}_{role}"),
+                points=getattr(s, f"{agent}_{role}").points + shift)
+            for agent in ("target", "ego") for role in ("past", "future")})
+        path = tmp_path / "utm.jsonl"
+        write_scenarios(path, [moved])
+        (back,) = ingest_scenarios(path)
+        assert np.array_equal(back.target_past.points, moved.target_past.points)
+
+    @pytest.mark.parametrize("dt", [1e-4, 11.0])
+    def test_implausible_dt_skipped(self, tmp_path, caplog, dt):
+        good = TestFiles.scenarios(2)
+        bad = dataclasses.replace(good[0], **{
+            f"{agent}_{role}": dataclasses.replace(getattr(good[0], f"{agent}_{role}"), dt=dt)
+            for agent in ("target", "ego") for role in ("past", "future")})
+        path = tmp_path / "s.jsonl"
+        write_scenarios(path, [bad, good[1]])
+        with caplog.at_level(logging.WARNING):
+            out = ingest_scenarios(path)
+        assert [x.id for x in out] == [good[1].id]
+        assert "s.jsonl:1" in caplog.text and "plausible range" in caplog.text
+
+    def test_a_step_faster_than_the_limit_is_refused(self, tmp_path):
+        s = TestFiles.scenarios(1)[0]
+        pts = s.ego_future.points.copy()
+        pts[-1] += (MAX_STEP_SPEED * s.dt * 1.01, 0.0)
+        fast = dataclasses.replace(s, ego_future=dataclasses.replace(s.ego_future, points=pts))
+        path = tmp_path / "fast.jsonl"
+        write_scenarios(path, [fast])
+        with pytest.raises(DataError, match=r"fast.jsonl:1: ego moves .* m/s over one step"):
+            ingest_scenarios(path)
