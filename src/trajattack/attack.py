@@ -37,7 +37,6 @@ from .core import ConfigError, ControlSequence, Trajectory, check_numeric_fields
 from .dynamics import extract_controls, unicycle_scan, unicycle_scan_pullback
 from .objectives import (OBJECTIVES, ade_grad, collision_fn_grad, collision_fp_grad,
                          fde_grad)
-from .predictor import check_deterministic
 
 # Step-size candidates checked per stacked feasibility call: the full step
 # and its first seven halvings.  On generated scenarios more than 99% of
@@ -94,8 +93,8 @@ class AttackResult:
     The predictions are not stored: pred_pert and pred_clean run the
     predictor on x_pert and on the clean past each time they are read, so
     a result costs a few kilobytes however many samples the predictor
-    draws.  The predictor is deterministic (the attack checks it), so every
-    read gives the same samples.
+    draws.  The predictor draws its sample offsets once, at construction,
+    so every read gives the same samples.
     """
 
     x_pert: Trajectory
@@ -239,7 +238,9 @@ class AttackProblem:
         # reference is bitwise equal to the delta = 0 rollout; that puts the
         # initial iterate exactly at the distance cone's apex, where the norm
         # gradient is the zero subgradient instead of roundoff-direction noise.
-        self.x_ref, self.y_ref = self.positions(np.zeros_like(ref.inputs))
+        x, y, _, _ = self.rollout(np.zeros_like(ref.inputs))
+        pts = np.column_stack([x, y])
+        self.x_ref, self.y_ref = pts[:n_past + 1], pts[n_past + 1:]
         # The barrier's sides: the observed side always, then the future side
         # unless it is free.  The loss adds their terms in this order.
         sides = [BarrierSide(cfg.barrier.observed_mode, self.x_ref, slice(0, n_past + 1))]
@@ -249,7 +250,6 @@ class AttackProblem:
         self.sides = tuple(sides)
         self.max_halvings = cfg.max_halvings
         self.gamma = cfg.gamma
-        check_deterministic(predictor, tp, scenario.horizon_future)
         # collision_fn pins the predictions at delta = 0, which is the rolled
         # reference; with the loss's own forward and reduction the drift
         # starts exactly at its apex.
@@ -294,8 +294,8 @@ class AttackProblem:
             loss = loss + term
             g_pts[side.rows] += g
         g_pts[:n_past + 1] += predictor_pullback(g_xs, g_ys)
-        *_, g_a, g_k = unicycle_scan_pullback(theta, v, self.ref_controls[:, 1] + delta[:, 1],
-                                              self.dt, g_pts[:, 0], g_pts[:, 1])
+        g_a, g_k = unicycle_scan_pullback(theta, v, self.ref_controls[:, 1] + delta[:, 1],
+                                          self.dt, g_pts[:, 0], g_pts[:, 1])
         return float(loss), np.column_stack([g_a, g_k])
 
     def rollout(self, delta):
@@ -306,13 +306,6 @@ class AttackProblem:
         controls = (self.ref_controls + delta).T
         states = unicycle_scan(*self.s0, controls[0], controls[1], self.dt)
         return tuple(s.T for s in states)
-
-    def positions(self, delta):
-        """Perturbed past/future positions as arrays, for checks and results."""
-        x, y, _, _ = self.rollout(delta)
-        pts = np.stack([x, y], axis=-1)
-        n_past = len(self.u_ref)
-        return pts[:n_past + 1], pts[n_past + 1:]
 
     def measure(self, delta):
         """(largest constrained distance, states) for perturbations (..., N, 2).
@@ -346,10 +339,11 @@ def run_attack(scenario, cfg, predictor):
         state, loss = pgd_iteration(problem, state)
         trace.append(loss)
     final_loss, _ = problem.loss_and_grad(state.delta, state.states)
-    past, fut = problem.positions(state.delta)
+    x, y, _, _ = problem.rollout(state.delta)
+    pts = np.column_stack([x, y])
     n_past = len(problem.u_ref)
-    x_pert = Trajectory(past, scenario.dt, t0_index=-n_past)
-    y_pert = Trajectory(fut, scenario.dt, t0_index=1)
+    x_pert = Trajectory(pts[:n_past + 1], scenario.dt, t0_index=-n_past)
+    y_pert = Trajectory(pts[n_past + 1:], scenario.dt, t0_index=1)
     u_pert = ControlSequence(problem.u_ref.inputs + state.delta[:n_past], scenario.dt)
     v_pert = ControlSequence(problem.v_ref.inputs + state.delta[n_past:], scenario.dt)
     diagnostics = {

@@ -20,9 +20,9 @@ arrays they came from (offsets to every reference point, the
 point-to-segment table); its pullback forms the barrier term and its
 gradient from one trajectory's slice of that measurement.  The attack
 measures the halving candidates once and hands the accepted candidate's
-slice to the gradient, so the step-size control and the barrier read the
-same table.  constraint_distances and barrier_grad are the one-trajectory
-use of the same two methods.
+slice to the gradient, so the barrier reads the very table the step-size
+control accepted.  A pullback of a distance at or past d_max raises
+InfeasibleError; the attack never forms one, so the raise guards that.
 """
 
 from __future__ import annotations
@@ -178,29 +178,3 @@ def _mean_log_barrier(d, grad_d, d_max):
     gap = d_max - d
     n = len(d)
     return -np.log(gap).sum() / n, grad_d / (gap * n)[:, None]
-
-
-def _xy(points):
-    pts = np.asarray(points, dtype=float)
-    return pts[..., 0], pts[..., 1]
-
-
-def constraint_distances(points, ref_pts, mode):
-    """All distances a barrier form constrains, along the last axis.
-
-    points may stack several trajectories, (..., N, 2); the result is
-    (..., M).  mode "time": matched-index displacement per point.  mode
-    "time_traj": polyline distance per point plus the matched displacement
-    of the final point.  mode "traj": polyline distance per point.
-    """
-    return BarrierSide(mode, ref_pts).measure(*_xy(points))[0]
-
-
-def barrier_grad(mode, points, ref_pts, d_max):
-    """A barrier form on (N, 2) arrays; returns (loss, d/dpoints).
-
-    Reads the distances constraint_distances checks, so an iterate the
-    step-size control accepts always gives a finite barrier.
-    """
-    side = BarrierSide(mode, ref_pts)
-    return side.pullback(side.measure(*_xy(points))[1], d_max)

@@ -28,7 +28,6 @@ import hashlib
 import itertools
 import json
 import logging
-import os
 import sys
 
 import numpy as np
@@ -44,8 +43,6 @@ from .objectives import OBJECTIVES
 from .predictor import KinematicPredictor, PredictorConfig
 from .scenario_io import (PRESETS, SWEEP_LIMITS, generate_left_turn, ingest_scenarios,
                           sample_left_turn_params, sweep_range, write_scenarios)
-
-PARALLEL_ENV = "TRAJATTACK_PARALLEL"
 
 # Experiment grid: every objective against both observed-constraint forms,
 # with and without the future-trajectory constraint; the false-negative
@@ -132,7 +129,7 @@ def _load_config(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
@@ -160,8 +157,7 @@ def _given(**flags):
 
 def cmd_attack(args):
     if args.parallel < 1:
-        raise ConfigError(f"--parallel (or ${PARALLEL_ENV}) must be at least 1, "
-                          f"got {args.parallel}")
+        raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
     scenarios = ingest_scenarios(args.scenarios)
     file_attack, file_barrier, file_predictor = (
         _load_config(args.config) if args.config else ({}, {}, {}))
@@ -208,8 +204,10 @@ def cmd_attack(args):
                        cfg.barrier, observed_mode=obs, future_mode=fut))
                    for objective, obs, fut in GRID]
 
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    # a pool starts all its workers up front: no more than there are scenarios
+    workers = min(args.parallel, len(scenarios))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_scenario = list(pool.map(_attack_rows, scenarios, itertools.repeat(configs),
                                          itertools.repeat(predictor_cfg)))
     else:
@@ -279,14 +277,6 @@ def _range_flag(parser, name, help_text):
                         default=None, help=help_text)
 
 
-def _parallel_default():
-    raw = os.environ.get(PARALLEL_ENV, "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"${PARALLEL_ENV} must be an integer, got {raw!r}") from None
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="trajattack",
@@ -332,9 +322,8 @@ def build_parser():
     att.add_argument("--amax", type=float, default=None,
                      help="override dataset-derived upper acceleration bound")
     att.add_argument("--seed", type=int, default=None, help="predictor noise seed")
-    att.add_argument("--parallel", type=int,
-                     default=_parallel_default(),
-                     help=f"worker processes (default ${PARALLEL_ENV} or 1)")
+    att.add_argument("--parallel", type=int, default=1,
+                     help="worker processes, at most one per scenario")
     att.set_defaults(func=cmd_attack)
 
     rep = sub.add_parser("report", help="aggregate metric rows into a summary table")

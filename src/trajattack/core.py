@@ -30,10 +30,6 @@ class GenerationError(ConfigError):
     """Scenario parameters that cannot produce a valid scenario."""
 
 
-class PredictorError(RuntimeError):
-    """Predictor contract violation (e.g. nondeterministic output)."""
-
-
 def check_numeric_fields(config):
     """Require every int/float field of a config dataclass to hold a finite
     number of its kind; a bool is neither, and an int field takes no float."""
@@ -89,14 +85,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.points)
-
-    @property
-    def x(self):
-        return self.points[:, 0]
-
-    @property
-    def y(self):
-        return self.points[:, 1]
 
 
 @dataclass(frozen=True)
@@ -173,8 +161,8 @@ class Scenario:
             raise DataError(f"Scenario {self.id!r}: past horizons differ")
         if len(self.ego_future) != len(self.target_future):
             raise DataError(f"Scenario {self.id!r}: future horizons differ")
-        if not (self.vehicle_length > 0.0 and self.vehicle_width > 0.0):
-            raise DataError(f"Scenario {self.id!r}: vehicle footprint must be positive")
+        if not (0.0 < self.vehicle_length < math.inf and 0.0 < self.vehicle_width < math.inf):
+            raise DataError(f"Scenario {self.id!r}: vehicle footprint must be finite, > 0")
 
     @property
     def dt(self):

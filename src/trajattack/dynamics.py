@@ -89,11 +89,11 @@ def unicycle_scan(x0, y0, theta0, v0, accels, kappas, dt):
 
 
 def unicycle_scan_pullback(theta, v, kappas, dt, gx, gy):
-    """Reverse-mode derivative of unicycle_scan.
+    """Reverse-mode derivative of unicycle_scan with respect to its controls.
 
     theta and v are the scan's outputs, gx and gy the adjoints of its x and
-    y rows.  Returns the adjoints of (x0, y0, theta0, v0), one per trailing
-    entry, and of accels and kappas.
+    y rows.  Returns the adjoints of accels and kappas; the start state is
+    a constant of the attack, so its adjoint is not formed.
     """
     cos = np.cos(theta[1:])
     sin = np.sin(theta[1:])
@@ -101,14 +101,13 @@ def unicycle_scan_pullback(theta, v, kappas, dt, gx, gy):
     # every later row carries: its adjoint is the suffix sum from s.
     gx_s = _suffix_sum(gx[1:])
     gy_s = _suffix_sum(gy[1:])
-    g_v = np.zeros_like(v)
-    g_v[1:] = (gx_s * cos + gy_s * sin) * dt
+    # g_v[s] is the adjoint of v[s + 1], which moves rows s + 1 on and, as
+    # v[s + 1] kappa[s + 1] dt, turns every later heading
+    g_v = (gx_s * cos + gy_s * sin) * dt
     g_theta = _suffix_sum(v[1:] * (gy_s * cos - gx_s * sin) * dt)
-    g_kappa = g_theta * v[:-1] * dt
-    g_v[:-1] += g_theta * kappas * dt
-    g_v_later = _suffix_sum(g_v[1:])
-    return (gx.sum(axis=0), gy.sum(axis=0), g_theta[0], g_v[0] + g_v_later[0],
-            g_v_later * dt, g_kappa)
+    g_v[:-1] += g_theta[1:] * kappas[1:] * dt
+    # control s adds a dt to v[s + 1] and every later speed
+    return _suffix_sum(g_v) * dt, g_theta * v[:-1] * dt
 
 
 def inverse_states(xs, ys, dt):

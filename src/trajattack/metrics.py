@@ -35,22 +35,6 @@ DIAGNOSTICS = ("final_loss", "iterations", "halvings", "rejections",
 _METRICS = COLUMNS[4:]
 
 
-def metric_ade(pred, y_tar):
-    """Mean displacement of all samples from the ground-truth future."""
-    if pred.horizon != len(y_tar):
-        raise DataError("metric_ade: horizon mismatch")
-    d = np.linalg.norm(pred.samples - y_tar.points[None, :, :], axis=2)
-    return float(d.mean())
-
-
-def metric_fde(pred, y_tar):
-    """Mean final displacement of all samples from the ground-truth future."""
-    if pred.horizon != len(y_tar):
-        raise DataError("metric_fde: horizon mismatch")
-    d = np.linalg.norm(pred.samples[:, -1, :] - y_tar.points[-1], axis=1)
-    return float(d.mean())
-
-
 def _headings(points, prev_point=None):
     """Finite-difference headings of position sequences (..., T, 2); (..., T).
 
@@ -95,12 +79,15 @@ def _row(scenario, labels, pred, x, u, y_fnc):
     ego = scenario.ego_future.points
     box = (scenario.vehicle_length, scenario.vehicle_width,
            x.points[-1], scenario.ego_past.points[-1])
+    if pred.horizon != scenario.horizon_future:
+        raise DataError("prediction horizon differs from the scenario's future")
+    error = np.linalg.norm(pred.samples - scenario.target_future.points, axis=2)
     shift = np.linalg.norm(x.points - scenario.target_past.points, axis=1)
     return {
         "id": scenario.id,
         **dict(zip(COLUMNS[1:4], labels)),
-        "ADE": metric_ade(pred, scenario.target_future),
-        "FDE": metric_fde(pred, scenario.target_future),
+        "ADE": float(error.mean()),
+        "FDE": float(error[:, -1].mean()),
         "CR_pred": collision_rate(pred.samples, ego, *box),
         "CR_FNC": None if y_fnc is None else collision_rate(y_fnc.points[None], ego, *box),
         "D_max": float(shift.max()),
@@ -210,23 +197,23 @@ def read_rows_jsonl(path):
     A line must hold every column, and every metric a finite number
     (CR_FNC may be null); anything else is a DataError at path:line.
     """
-    rows = []
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read report file: {exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: bad report row: {exc}") from None
-            error = _row_error(d)
-            if error:
-                raise DataError(f"{path}:{lineno}: bad report row: {error}")
-            rows.append(d)
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: bad report row: {exc}") from None
+        error = _row_error(d)
+        if error:
+            raise DataError(f"{path}:{lineno}: bad report row: {error}")
+        rows.append(d)
     if not rows:
         raise DataError(f"{path}: no report rows")
     return rows

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, PredictionSet, PredictorError, check_numeric_fields
+from .core import ConfigError, DataError, PredictionSet, check_numeric_fields
 from .dynamics import V_EPS, inverse_states, inverse_states_pullback, state_controls
 
 
@@ -78,8 +78,6 @@ def _horizon_constants(horizon, dt):
 
 class KinematicPredictor:
     """Constant-control extrapolation with sampled control offsets."""
-
-    name = "kinematic"
 
     def __init__(self, config=None):
         self.config = config or PredictorConfig()
@@ -168,13 +166,3 @@ class KinematicPredictor:
         """
         (xs, ys), _ = self.predict_vjp(past_target.points, past_target.dt, horizon)
         return PredictionSet(np.stack([xs.T, ys.T], axis=-1), past_target.dt)
-
-
-def check_deterministic(predictor, past_target, horizon):
-    """Call the predictor twice and require bitwise identical output."""
-    first = predictor.predict(past_target, horizon=horizon)
-    second = predictor.predict(past_target, horizon=horizon)
-    if not np.array_equal(first.samples, second.samples):
-        raise PredictorError(f"predictor {predictor.name!r} is not deterministic")
-    return first
-

@@ -281,13 +281,10 @@ def _scenario_from_record(record, where):
                 raise DataError(f"{agent}_{role} has shape {arr.shape}, "
                                 f"expected ({expect}, 2)")
             arrays[(agent, role)] = arr
-    except (KeyError, TypeError, ValueError) as exc:
+        vehicle = {key: float(record[key]) for key in ("vehicle_length", "vehicle_width")
+                   if key in record}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where}: malformed record: {exc}") from None
-    vehicle = {}
-    if "vehicle_length" in record:
-        vehicle["vehicle_length"] = float(record["vehicle_length"])
-    if "vehicle_width" in record:
-        vehicle["vehicle_width"] = float(record["vehicle_width"])
     try:
         scenario = Scenario(
             ego_past=Trajectory(arrays[("ego", "past")], dt, t0_index=-(h - 1)),
@@ -406,7 +403,7 @@ def ingest_scenarios(path, fmt=None):
     fmt = _infer_format(path, fmt)
     try:
         out, skipped = _ingest_jsonl(path) if fmt == "jsonl" else _ingest_csv(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot read scenario file: {exc}") from None
     if not out:
         if skipped:

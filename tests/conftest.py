@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trajattack.barriers import BarrierSide
 from trajattack.core import AgentState, ControlSequence, Scenario, Trajectory
 from trajattack.dynamics import rollout
 from trajattack.predictor import KinematicPredictor, PredictorConfig
@@ -18,6 +19,30 @@ def straight_trajectory(n, v=5.0, dt=0.1, theta=0.0, start=(0.0, 0.0),
     controls = ControlSequence(np.zeros((n - 1, 2)), dt)
     traj = rollout(s0, controls)
     return Trajectory(traj.points, dt, t0_index=t0_index)
+
+
+def positions(problem, delta):
+    """The perturbed past and future points, (N, 2) each, that
+    problem.rollout gives for one perturbation."""
+    x, y, _, _ = problem.rollout(delta)
+    pts = np.column_stack([x, y])
+    n_past = len(problem.u_ref)
+    return pts[:n_past + 1], pts[n_past + 1:]
+
+
+def constraint_distances(points, ref_pts, mode):
+    """Every distance one barrier form constrains, along the last axis, for
+    (..., N, 2) points: BarrierSide(mode, ref_pts).measure on their x, y."""
+    pts = np.asarray(points, dtype=float)
+    return BarrierSide(mode, ref_pts).measure(pts[..., 0], pts[..., 1])[0]
+
+
+def barrier_grad(mode, points, ref_pts, d_max):
+    """(loss, d/dpoints) of one barrier form on (N, 2) points: the pullback
+    of the side's measurement of them."""
+    side = BarrierSide(mode, ref_pts)
+    pts = np.asarray(points, dtype=float)
+    return side.pullback(side.measure(pts[..., 0], pts[..., 1])[1], d_max)
 
 
 DEGENERATE_KINDS = ("stopping", "reversing", "short-past", "starts-at-rest",

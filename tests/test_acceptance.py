@@ -13,11 +13,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import constraint_distances, positions
 from oracles import (box_overlap_oracle, central_difference_error,
                      segment_distance_bruteforce)
 from tape_reference import finite_diff_check, reference_loss
 from trajattack.attack import AttackConfig, AttackProblem
-from trajattack.barriers import BarrierConfig, BarrierSide, constraint_distances
+from trajattack.barriers import BarrierConfig, BarrierSide
 from trajattack.cli import main
 from trajattack.core import AgentState, ControlSequence, Trajectory, box_overlap_mask
 from trajattack.dynamics import extract_controls, rollout
@@ -128,7 +129,7 @@ def _probe_is_smooth(problem, delta, gap_tol=5e-4, apex_tol=1e-3):
     are fine: the symmetric difference stays at zero on both sides, which
     matches the zero-subgradient convention.
     """
-    past, fut = problem.positions(delta)
+    past, fut = positions(problem, delta)
     x_ref = np.asarray(problem.x_ref)
     y_ref = np.asarray(problem.y_ref)
     gaps, apexes = [], []
@@ -322,7 +323,7 @@ def _colliding_future_exists(scenario):
                 delta[n_past:, 1] = shift
                 if np.any(delta < problem.lo) or np.any(delta > problem.hi):
                     continue
-                _, future = problem.positions(delta)
+                _, future = positions(problem, delta)
                 dists = constraint_distances(future, np.asarray(problem.y_ref),
                                              "traj")
                 if max(dists) >= 0.9:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (DEGENERATE_KINDS, degenerate_scenario, make_trajectory,
+from conftest import (DEGENERATE_KINDS, degenerate_scenario, make_trajectory, positions,
                       straight_trajectory)
 from tape_reference import Var, grad, reference_loss, value
 from trajattack.attack import (AttackConfig, AttackProblem, PGDState,
@@ -279,8 +279,7 @@ class TestRunAttack:
     @pytest.mark.parametrize("objective,observed,future", GRID)
     def test_predictions_are_derived_on_access(self, left_turn, objective, observed, future):
         """pred_pert and pred_clean are bitwise the predictions from x_pert and
-        from the scenario's own past; the attack predicts only in its
-        determinism check."""
+        from the scenario's own past; the attack itself never calls predict."""
         calls = []
 
         class Counting(KinematicPredictor):
@@ -291,7 +290,7 @@ class TestRunAttack:
         cfg = AttackConfig(objective=objective, a_min=-4.0, a_max=4.0,
                            barrier=BarrierConfig(observed_mode=observed, future_mode=future))
         result = run_attack(left_turn, cfg, Counting(PredictorConfig()))
-        assert len(calls) == 2
+        assert len(calls) == 0
         assert result.past_clean is left_turn.target_past
         fresh = KinematicPredictor(PredictorConfig())
         horizon = left_turn.horizon_future
@@ -369,7 +368,7 @@ class TestRunAttack:
             sample_left_turn_params(np.random.default_rng(7)), seed=7)
         problem = AttackProblem(scenario, AttackConfig(objective="collision_fn"),
                                 KinematicPredictor(PredictorConfig()))
-        past, fut = problem.positions(np.zeros((problem.n_controls, 2)))
+        past, fut = positions(problem, np.zeros((problem.n_controls, 2)))
         (xs, ys), _ = problem.predictor.predict_vjp(past, problem.dt,
                                                     problem.horizon_future)
         loss, _, g_xs, g_ys = collision_fn_grad(fut, xs, ys, problem.ego_pts,

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import tape_reference
+from conftest import barrier_grad, constraint_distances
 from tape_reference import Var, d_traj, grad, value
 from trajattack.barriers import (FUTURE_MODES, OBSERVED_MODES, BarrierConfig, BarrierSide,
-                                 InfeasibleError, barrier_grad, constraint_distances)
+                                 InfeasibleError)
 from trajattack.core import ConfigError, DataError
 
 STRAIGHT = [(float(i), 0.0) for i in range(11)]

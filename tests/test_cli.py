@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import trajattack
+from trajattack import cli
 from trajattack.attack import AttackConfig
 from trajattack.barriers import BarrierConfig
-from trajattack.cli import GRID, PARALLEL_ENV, _stable_seed, main
+from trajattack.cli import GRID, _stable_seed, main
 from trajattack.metrics import COLUMNS, DIAGNOSTICS, read_rows_jsonl
 from trajattack.predictor import PredictorConfig
 from trajattack import scenario_io
@@ -146,10 +147,80 @@ class TestAttack:
                    "--objective", "ade", "--iters", 1, "--parallel", value) == 2
         assert not (tmp_path / "x.manifest.json").exists()
 
-    def test_non_integer_parallel_env_is_config_error(self, monkeypatch, capsys):
-        monkeypatch.setenv(PARALLEL_ENV, "abc")
-        assert run("--version") == 2
-        assert PARALLEL_ENV in capsys.readouterr().err
+    def test_parallel_starts_at_most_one_worker_per_scenario(self, scene_file, tmp_path,
+                                                              monkeypatch):
+        """--parallel 64 over 3 scenarios asks the pool for 3 workers.  The
+        stand-in pool records the request and maps serially, so no process
+        starts; the rows equal a serial run's."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        for name, parallel in (("serial", 1), ("wide", 64)):
+            assert run("attack", "--scenarios", scene_file, "--out", tmp_path / name,
+                       "--objective", "fde", "--iters", 2, "--parallel", parallel) == 0
+        assert sizes == [3]
+        assert (tmp_path / "serial.jsonl").read_bytes() == \
+            (tmp_path / "wide.jsonl").read_bytes()
+
+    def test_malformed_records_are_skipped(self, scene_file, tmp_path, caplog):
+        """Records with a non-numeric footprint or an overflowing horizon are
+        skipped with a warning naming their lines; the valid record runs."""
+        lines = scene_file.read_text().splitlines()
+        footprint = json.loads(lines[1])
+        footprint["vehicle_length"] = "abc"
+        horizon = json.loads(lines[2])
+        horizon["H"] = 1e400
+        scenes = tmp_path / "mixed.jsonl"
+        scenes.write_text("\n".join([lines[0], json.dumps(footprint), json.dumps(horizon)])
+                          + "\n")
+        with caplog.at_level("WARNING"):
+            assert run("attack", "--scenarios", scenes, "--out", tmp_path / "x",
+                       "--objective", "ade", "--iters", 1) == 0
+        warned = [rec.getMessage() for rec in caplog.records]
+        for line in (2, 3):
+            assert any(f"{scenes}:{line}:" in m and "skipped" in m for m in warned)
+        assert len(read_rows_jsonl(tmp_path / "x.jsonl")) == 2
+
+    @pytest.mark.parametrize("target", ["scenarios-jsonl", "scenarios-csv", "config",
+                                        "results"])
+    def test_undecodable_file_is_named(self, scene_file, results, tmp_path, capsys, target):
+        """Bytes that do not decode are a data error (exit 3) in a scenario or
+        results file and a configuration error (exit 2) in a config file; the
+        message names the file and nothing is written."""
+        scenes = scene_file
+        if target == "scenarios-csv":
+            scenes = tmp_path / "scenes.csv"
+            assert run("generate", "--n", 2, "--seed", 7, "--out", scenes) == 0
+        bad = tmp_path / f"bad{Path(scenes).suffix}"
+        if target == "config":
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(b'{"alpha0": 0.02, "seed": "\xff"}')
+            argv = ["attack", "--scenarios", scene_file, "--config", bad,
+                    "--objective", "ade", "--iters", 1]
+        elif target == "results":
+            bad = tmp_path / "bad.jsonl"
+            bad.write_bytes(Path(f"{results}.jsonl").read_bytes() + b"\xff\xfe\n")
+            argv = ["report", "--results", bad]
+        else:
+            bad.write_bytes(Path(scenes).read_bytes() + b"\xff\xfe\n")
+            argv = ["attack", "--scenarios", bad, "--objective", "ade", "--iters", 1]
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "x") == (2 if target == "config" else 3)
+        assert str(bad) in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
     def test_missing_scenario_file_is_data_error(self, tmp_path):
         assert run("attack", "--scenarios", tmp_path / "absent.jsonl",

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import constraint_distances
 from oracles import box_overlap_oracle, segment_distance_bruteforce
-from trajattack.barriers import constraint_distances
 from trajattack.core import (AgentState, ControlSequence,
                              DataError, PredictionSet, Scenario, Trajectory,
                              box_overlap_mask, wrap_angle)

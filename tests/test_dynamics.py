@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trajectory
+from conftest import make_trajectory, positions
 from trajattack.attack import AttackConfig, AttackProblem
 from trajattack.core import AgentState, ControlSequence, Scenario, Trajectory
 from trajattack.dynamics import extract_controls, inverse_states, rollout, unicycle_scan
@@ -198,34 +198,34 @@ def _straight_scenario(theta=0.0, v=5.0, inputs=None):
 
 
 class TestJointRollout:
-    """AttackProblem.positions rolls the past controls, then the future ones."""
+    """AttackProblem.rollout rolls the past controls, then the future ones."""
 
     def test_zero_perturbation_identity(self, left_turn):
         problem = _problem(left_turn)
-        xs, ys = problem.positions(np.zeros((problem.n_controls, 2)))
+        xs, ys = positions(problem, np.zeros((problem.n_controls, 2)))
         assert np.abs(xs - left_turn.target_past.points).max() < 1e-6
         assert np.abs(ys - left_turn.target_future.points).max() < 1e-6
 
     def test_last_past_control_moves_every_future_point(self):
         problem = _problem(_straight_scenario())
         delta = np.zeros((problem.n_controls, 2))
-        _, y_ref = problem.positions(delta)
+        _, y_ref = positions(problem, delta)
         delta[len(problem.u_ref) - 1, 0] = 1.0
-        _, y_new = problem.positions(delta)
+        _, y_new = positions(problem, delta)
         moved = np.linalg.norm(y_new - y_ref, axis=1)
         assert (moved > 1e-9).all()
 
     def test_future_controls_leave_past_untouched(self):
         problem = _problem(_straight_scenario(theta=0.2, inputs=np.full((21, 2), 0.01)))
         delta = np.zeros((problem.n_controls, 2))
-        x_ref, _ = problem.positions(delta)
+        x_ref, _ = positions(problem, delta)
         delta[len(problem.u_ref):, 0] = 2.0
-        x_new, _ = problem.positions(delta)
+        x_new, _ = positions(problem, delta)
         assert np.array_equal(x_ref, x_new)
 
     def test_future_starts_at_index_one(self):
         problem = _problem(_straight_scenario(v=1.0))
-        xs, ys = problem.positions(np.zeros((problem.n_controls, 2)))
+        xs, ys = positions(problem, np.zeros((problem.n_controls, 2)))
         assert len(xs) == 11 and len(ys) == 11
         assert math.isclose(ys[0, 0], xs[-1, 0] + 0.1, abs_tol=1e-12)
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_trajectory, straight_trajectory
+from conftest import barrier_grad, make_trajectory, positions, straight_trajectory
 from tape_reference import ade_xy, collision_fp_xy, fde_xy, value
 from trajattack.attack import AttackConfig, AttackProblem
-from trajattack.barriers import BarrierConfig, barrier_grad
+from trajattack.barriers import BarrierConfig
 from trajattack.core import DataError, PredictionSet
 from trajattack.objectives import (OBJECTIVES, ade_grad, collision_fn_grad,
                                    collision_fp_grad, fde_grad)
@@ -159,7 +159,7 @@ class TestCompose:
                                 KinematicPredictor(PredictorConfig(n_samples=5)))
         delta = np.zeros((problem.n_controls, 2))
         delta[:, 0] = 0.05
-        past, fut = problem.positions(delta)
+        past, fut = positions(problem, delta)
         (xs, ys), _ = problem.predictor.predict_vjp(past, problem.dt,
                                                     problem.horizon_future)
         total = (ade_grad(xs, ys, problem.y_ref_pts)[0]

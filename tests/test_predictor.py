@@ -7,7 +7,7 @@ from conftest import degenerate_scenario, make_trajectory, straight_trajectory
 from trajattack.attack import AttackConfig, AttackProblem
 from trajattack.core import ConfigError, DataError, Trajectory
 from trajattack.dynamics import extract_controls, inverse_states, unicycle_scan
-from trajattack.predictor import KinematicPredictor, PredictorConfig, check_deterministic
+from trajattack.predictor import KinematicPredictor, PredictorConfig
 from trajattack.scenario_io import generate_left_turn, sample_left_turn_params
 
 
@@ -143,8 +143,13 @@ class TestDeterminism:
         assert np.array_equal(a.samples, b.samples)
 
     def test_check_deterministic_passes(self, predictor, left_turn):
-        out = check_deterministic(predictor, left_turn.target_past, horizon=12)
-        assert out.samples.shape[0] == 100
+        """The contract the attack relies on: a past predicts bitwise the same
+        K = 100 samples whatever was predicted in between."""
+        first = predictor.predict(left_turn.target_past, horizon=12)
+        predictor.predict(straight_trajectory(8), horizon=12)
+        second = predictor.predict(left_turn.target_past, horizon=12)
+        assert np.array_equal(first.samples, second.samples)
+        assert first.samples.shape[0] == 100
 
     def test_fresh_instance_same_seed_matches(self, left_turn):
         a = KinematicPredictor(PredictorConfig(seed=5)).predict(

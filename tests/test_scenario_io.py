@@ -159,13 +159,19 @@ class TestFiles:
         path = tmp_path / "scenes.jsonl"
         write_scenarios(path, self.scenarios(2))
         lines = path.read_text().splitlines()
-        record = lines[0].replace('"H": 12', '"H": 11')
-        path.write_text("\n".join([record, lines[1]]) + "\n")
-        with caplog.at_level(logging.WARNING):
-            back = ingest_scenarios(path)
-        assert len(back) == 1
-        assert any("skipped" in rec.message for rec in caplog.records)
-        assert any(":1" in rec.getMessage() for rec in caplog.records)
+        for old, new in (('"H": 12', '"H": 11'), ('"H": 12', '"H": 1e400'),
+                         ('"vehicle_length": 4.2', '"vehicle_length": "abc"'),
+                         ('"vehicle_length": 4.2', '"vehicle_length": null'),
+                         ('"vehicle_length": 4.2', '"vehicle_length": Infinity'),
+                         ('"vehicle_width": 1.7', '"vehicle_width": [1.0]')):
+            assert old in lines[0]
+            path.write_text("\n".join([lines[0].replace(old, new), lines[1]]) + "\n")
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                back = ingest_scenarios(path)
+            assert len(back) == 1
+            assert any("skipped" in rec.message for rec in caplog.records)
+            assert any(":1" in rec.getMessage() for rec in caplog.records)
 
     def test_invalid_json_line_skipped(self, tmp_path, caplog):
         path = tmp_path / "scenes.jsonl"
