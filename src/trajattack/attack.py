@@ -12,9 +12,11 @@ halved candidates are checked a block at a time in one stacked rollout,
 so the cost of an iteration hardly depends on how many halvings it takes.
 That check measures every barrier side of the stacked candidates once; the
 accepted candidate's rollout and its slice of each side's measurement
-(offsets and point-to-segment table) feed the next gradient.  So an
-iteration rolls the target out once and builds each distance table once,
-and the barrier reads the very table the feasibility check accepted.
+(offsets and distances or point-to-segment table) feed the next gradient.
+So an iteration rolls the target out once and builds each distance table
+once, and the barrier reads the very table the feasibility check
+accepted.  The unperturbed start is measured once before the loop, and
+the last carried measurement gives the returned trajectories.
 
 The control box combines relative bounds around the unperturbed control
 with absolute bounds (dataset acceleration range, curvature magnitude).
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barriers import BarrierConfig, BarrierSide
+from .barriers import BarrierConfig
 from .core import ConfigError, ControlSequence, Trajectory, check_numeric_fields
 from .dynamics import extract_controls, unicycle_scan, unicycle_scan_pullback
 from .objectives import (OBJECTIVES, ade_grad, collision_fn_grad, collision_fp_grad,
@@ -161,15 +163,13 @@ def dataset_accel_bounds(trajectories):
 class PGDState:
     """Mutable loop state threaded through pgd_iteration.
 
-    states is what the feasibility check measured at delta: the target's
-    rollout (x, y, theta, v) followed by each barrier side's parts; or None
-    (at the start, until a step is accepted), and then the gradient
-    measures delta itself.
+    states is problem.measure's measurement of delta: the target's rollout
+    (x, y, theta, v) followed by each barrier side's three parts.
     """
 
     delta: np.ndarray
     alpha: float
-    states: tuple = None
+    states: tuple
     halving_events: int = 0
     rejections: int = 0
     max_accepted_distance: float = 0.0
@@ -241,13 +241,7 @@ class AttackProblem:
         x, y, _, _ = self.rollout(np.zeros_like(ref.inputs))
         pts = np.column_stack([x, y])
         self.x_ref, self.y_ref = pts[:n_past + 1], pts[n_past + 1:]
-        # The barrier's sides: the observed side always, then the future side
-        # unless it is free.  The loss adds their terms in this order.
-        sides = [BarrierSide(cfg.barrier.observed_mode, self.x_ref, slice(0, n_past + 1))]
-        if cfg.barrier.future_mode != "none":
-            sides.append(BarrierSide(cfg.barrier.future_mode, self.y_ref,
-                                     slice(n_past + 1, None)))
-        self.sides = tuple(sides)
+        self.sides = cfg.barrier.sides(self.x_ref, self.y_ref)
         self.max_halvings = cfg.max_halvings
         self.gamma = cfg.gamma
         # collision_fn pins the predictions at delta = 0, which is the rolled
@@ -261,15 +255,12 @@ class AttackProblem:
     def n_controls(self):
         return len(self.ref_controls)
 
-    def loss_and_grad(self, delta, states=None):
-        """Total loss at an (N, 2) perturbation and its gradient.
-
-        states is what feasibility measured at delta when the caller has
-        it; otherwise delta is measured here.
-        """
+    def loss_and_grad(self, delta, states):
+        """Total loss at an (N, 2) perturbation and its gradient, from
+        states, measure's measurement of delta."""
         cfg = self.cfg
         n_past = len(self.u_ref)
-        x, y, theta, v, *parts = self.measure(delta)[1] if states is None else states
+        x, y, theta, v, *parts = states
         pts = np.column_stack([x, y])
         past = pts[:n_past + 1]
         fut = pts[n_past + 1:]
@@ -288,9 +279,8 @@ class AttackProblem:
                 fut, xs, ys, self.ego_pts, self.clean_mean)
         else:
             raise ConfigError(f"unknown objective {name!r}")
-        for side in self.sides:
-            term, g = side.pullback(parts[:side.n_parts], cfg.barrier.d_max)
-            del parts[:side.n_parts]
+        for i, side in enumerate(self.sides):
+            term, g = side.pullback(parts[3 * i:3 * i + 3], cfg.barrier.d_max)
             loss = loss + term
             g_pts[side.rows] += g
         g_pts[:n_past + 1] += predictor_pullback(g_xs, g_ys)
@@ -311,8 +301,8 @@ class AttackProblem:
         """(largest constrained distance, states) for perturbations (..., N, 2).
 
         states is the rollout (x, y, theta, v), each (..., N + 1), followed
-        by the parts of every side's measurement, which loss_and_grad reads
-        for one perturbation.
+        by the three parts of every side's measurement, which loss_and_grad
+        reads for one perturbation.
         """
         states = self.rollout(delta)
         worst = 0.0   # distances are >= 0, so the first side's maximum passes exactly
@@ -331,16 +321,20 @@ class AttackProblem:
 
 
 def run_attack(scenario, cfg, predictor):
-    """Attack one scenario; returns the perturbed artifacts and statistics."""
+    """Attack one scenario; returns the perturbed artifacts and statistics.
+
+    The loop starts from the measurement of delta = 0 and carries the
+    accepted iterate's measurement, whose rollout gives x_pert and y_pert.
+    """
     problem = AttackProblem(scenario, cfg, predictor)
-    state = PGDState(delta=np.zeros((problem.n_controls, 2)), alpha=cfg.alpha0)
+    delta = np.zeros((problem.n_controls, 2))
+    state = PGDState(delta=delta, alpha=cfg.alpha0, states=problem.measure(delta)[1])
     trace = []
     for _ in range(cfg.max_iterations):
         state, loss = pgd_iteration(problem, state)
         trace.append(loss)
     final_loss, _ = problem.loss_and_grad(state.delta, state.states)
-    x, y, _, _ = problem.rollout(state.delta)
-    pts = np.column_stack([x, y])
+    pts = np.column_stack(state.states[:2])
     n_past = len(problem.u_ref)
     x_pert = Trajectory(pts[:n_past + 1], scenario.dt, t0_index=-n_past)
     y_pert = Trajectory(pts[n_past + 1:], scenario.dt, t0_index=1)

@@ -8,15 +8,15 @@ A barrier term is -ln(d_max - d), finite only while d < d_max; reaching
 d_max is an infeasibility the optimizer must handle by shrinking its
 step.
 
-The time_traj observed form bounds the whole past by the trajectory
-distance and additionally pins the prediction point (the last observed
-position) by the time distance, so the target still reaches the turn
-entry on time.
+A BarrierSide applies one notion to some rows of a trajectory against
+their reference.  BarrierConfig.sides composes the configured forms from
+them: the time_traj observed form is a traj side over the whole past and
+a time side on the prediction point (the last observed position), so the
+target still reaches the turn entry on time.
 
-A BarrierSide holds one form against one reference, with the reference
-polyline's segment geometry derived once.  Its measure takes a stack of
-trajectories and returns their constrained distances together with the
-arrays they came from (offsets to every reference point, the
+A side's measure takes a stack of trajectories and returns their
+constrained distances together with three arrays they came from (the
+offsets to the reference points, and the distances or the
 point-to-segment table); its pullback forms the barrier term and its
 gradient from one trajectory's slice of that measurement.  The attack
 measures the halving candidates once and hands the accepted candidate's
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, check_numeric_fields, hypot_grad
+from .core import ConfigError, DataError, check_numeric_fields, hypot_grad, offsets
 
 OBSERVED_MODES = ("time", "time_traj")
 FUTURE_MODES = ("none", "traj")
-MODES = ("time", "traj", "time_traj")
+MODES = ("time", "traj")
 
 
 class InfeasibleError(RuntimeError):
@@ -61,17 +61,33 @@ class BarrierConfig:
             raise ConfigError(
                 f"future_mode {self.future_mode!r} not in {FUTURE_MODES}")
 
+    def sides(self, past_ref, future_ref):
+        """The BarrierSides over trajectories of past_ref's points followed
+        by future_ref's, in the order the loss adds their terms: the
+        observed side (for time_traj, a traj side over the past and then a
+        time side on its last point), then the future side unless it is
+        free."""
+        n = len(past_ref)
+        past = slice(0, n)
+        if self.observed_mode == "time":
+            sides = [BarrierSide("time", past_ref, past)]
+        else:
+            sides = [BarrierSide("traj", past_ref, past),
+                     BarrierSide("time", past_ref[-1:], slice(n - 1, n))]
+        if self.future_mode == "traj":
+            sides.append(BarrierSide("traj", future_ref, slice(n, None)))
+        return tuple(sides)
+
 
 class BarrierSide:
-    """One barrier form against one reference trajectory.
+    """One distance notion, "time" or "traj", against one reference.
 
     rows selects the constrained points from the x, y rows measure is
-    given (all of them by default).  For the polyline forms the segment
+    given (all of them by default).  For a traj side the polyline's segment
     geometry is derived here, once: segment j runs from reference point j
     (its start b) to j + 1 (its end c); it keeps the direction (ux, uy) =
     b - c, the squared length, the squared length with degenerate segments
     set to 1, the length and the degenerate mask.
-    n_parts is the number of arrays measure hands the pullback.
     """
 
     def __init__(self, mode, ref_pts, rows=slice(None)):
@@ -80,7 +96,6 @@ class BarrierSide:
         ref = np.asarray(ref_pts, dtype=float)
         self.mode = mode
         self.rows = rows
-        self.n_parts = 4 if mode == "time_traj" else 3
         if mode == "time":
             self.ref_x, self.ref_y = ref[..., 0], ref[..., 1]
             return
@@ -95,40 +110,31 @@ class BarrierSide:
         self.seg = np.sqrt(self.safe2)
 
     def measure(self, x, y):
-        """Constrained distances (..., M) of trajectories given as x, y rows
-        (..., N), and the parts the pullback reads.
+        """Constrained distances (..., M) of the side's rows of trajectories
+        given as x, y rows (..., N), and the three parts the pullback reads.
 
         "time": the matched-index displacement per point; parts are the
         offsets and the distances.  "traj": the polyline distance per
-        point; parts are the offsets (..., N, R) to every reference point
-        and the point-to-segment table (..., N, S).  "time_traj": the
-        polyline distances and then the final point's matched
-        displacement, which is also the fourth part.
+        point; parts are the offsets (..., M, R) to every reference point
+        and the point-to-segment table (..., M, S).
         """
         x = x[..., self.rows]
         y = y[..., self.rows]
         if self.mode == "time":
             if x.shape[-1] != self.ref_x.shape[-1]:
                 raise DataError("matched distances: trajectories differ in length")
-            ox = x - self.ref_x
-            oy = y - self.ref_y
-            d = np.hypot(ox, oy)
-            return d, (ox, oy, d)
-        ox = x[..., None] - self.ref_x
-        oy = y[..., None] - self.ref_y
-        table = self._segment_table(ox, oy)
-        d = table.min(axis=-1)
-        if self.mode == "traj":
-            return d, (ox, oy, table)
-        pinned = np.hypot(ox[..., -1:, -1], oy[..., -1:, -1])
-        return np.concatenate([d, pinned], axis=-1), (ox, oy, table, pinned)
+            parts = offsets(x, y, self.ref_x, self.ref_y)
+            return parts[2], parts
+        ox, oy, norm = offsets(x[..., None], y[..., None], self.ref_x, self.ref_y)
+        table = self._segment_table(ox, oy, norm)
+        return table.min(axis=-1), (ox, oy, table)
 
-    def _segment_table(self, ox, oy):
+    def _segment_table(self, ox, oy, norm):
         """Distance of each point to every segment, from its offsets to every
-        reference point.  The nearest point of segment j is its end c = ref
-        j + 1 where r <= 0 (or the segment is degenerate), its start b where
-        r >= 1, and the foot of the perpendicular in between."""
-        norm = np.hypot(ox, oy)
+        reference point and their norms.  The nearest point of segment j is
+        its end c = ref j + 1 where r <= 0 (or the segment is degenerate),
+        its start b where r >= 1, and the foot of the perpendicular in
+        between."""
         wx, wy = ox[..., 1:], oy[..., 1:]
         r = (wx * self.ux + wy * self.uy) / self.safe2
         d_perp = np.abs(wx * self.uy - wy * self.ux) / self.seg
@@ -147,7 +153,7 @@ class BarrierSide:
         if self.mode == "time":
             ox, oy, d = parts
             return _mean_log_barrier(d, np.column_stack(hypot_grad(ox, oy, d)), d_max)
-        ox, oy, table = parts[:3]
+        ox, oy, table = parts
         rows = np.arange(len(table))
         j = np.argmin(table, axis=1)
         dist = table[rows, j]
@@ -161,14 +167,7 @@ class BarrierSide:
         s = np.sign(wx * uy - wy * ux) / self.seg[j]
         grad_d = np.column_stack([np.choose(kind, (gcx, s * uy, gbx)),
                                   np.choose(kind, (gcy, -s * ux, gby))])
-        total, grad = _mean_log_barrier(dist, grad_d, d_max)
-        if self.mode == "traj":
-            return total, grad
-        pinned = parts[3]
-        pin, g_last = _mean_log_barrier(
-            pinned, np.column_stack(hypot_grad(ox[-1:, -1], oy[-1:, -1], pinned)), d_max)
-        grad[-1] += g_last[0]
-        return total + pin, grad
+        return _mean_log_barrier(dist, grad_d, d_max)
 
 
 def _mean_log_barrier(d, grad_d, d_max):

@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import json
 import logging
+import os
 import sys
 
 import numpy as np
@@ -62,6 +63,14 @@ def _stable_seed(base, index):
     return int.from_bytes(digest, "big") >> 1
 
 
+def _check_out_dir(out):
+    """Refuse an --out path or prefix whose directory does not exist, so a
+    run fails before it does any work."""
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--out {out}: directory {directory!r} does not exist")
+
+
 def _write_manifest(out_prefix, payload):
     path = f"{out_prefix}.manifest.json"
     payload = {"version": __version__, **payload}
@@ -72,6 +81,7 @@ def _write_manifest(out_prefix, payload):
 
 
 def cmd_generate(args):
+    _check_out_dir(args.out)
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     ranges = {}
@@ -156,6 +166,7 @@ def _given(**flags):
 
 
 def cmd_attack(args):
+    _check_out_dir(args.out)
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
     scenarios = ingest_scenarios(args.scenarios)
@@ -246,6 +257,7 @@ def _format_table(dicts):
 
 
 def cmd_report(args):
+    _check_out_dir(args.out)
     rows = read_rows_jsonl(args.results)
     groups = {}
     for row in rows:

@@ -211,6 +211,14 @@ class PredictionSet:
 # geometry kernels
 
 
+def offsets(x, y, ref_x, ref_y):
+    """Displacement (ox, oy) = (x - ref_x, y - ref_y) and its length, for
+    coordinate arrays that broadcast together."""
+    ox = x - ref_x
+    oy = y - ref_y
+    return ox, oy, np.hypot(ox, oy)
+
+
 def hypot_grad(dx, dy, n):
     """Gradient of n = hypot(dx, dy) with respect to (dx, dy), as arrays.
 

@@ -7,7 +7,9 @@ the first future step using the segment from the last observed point.
 CR_pred runs the collision kernel on the K predicted samples and CR_FNC
 on the perturbed future as a single sample.  Perturbation magnitude is
 reported as displacement of the observed trajectory (D_max, D_mean) and
-as mean absolute perturbed past controls (a_mag, k_mag).
+as mean absolute perturbed past controls (a_mag, k_mag).  Displacements
+are measured with core.offsets, the kernel the attack's objectives and
+barriers use.
 
 This module owns the row format.  A row is a dict: the COLUMNS (labels,
 then metrics) and, for an attack row, the attack's DIAGNOSTICS after
@@ -24,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import DataError, box_overlap_mask
+from .core import DataError, box_overlap_mask, offsets
 from .dynamics import extract_controls
 
 COLUMNS = ("id", "objective", "obs_constraint", "fut_constraint",
@@ -81,8 +83,10 @@ def _row(scenario, labels, pred, x, u, y_fnc):
            x.points[-1], scenario.ego_past.points[-1])
     if pred.horizon != scenario.horizon_future:
         raise DataError("prediction horizon differs from the scenario's future")
-    error = np.linalg.norm(pred.samples - scenario.target_future.points, axis=2)
-    shift = np.linalg.norm(x.points - scenario.target_past.points, axis=1)
+    future = scenario.target_future.points
+    past = scenario.target_past.points
+    *_, error = offsets(pred.samples[..., 0], pred.samples[..., 1], future[:, 0], future[:, 1])
+    *_, shift = offsets(x.points[:, 0], x.points[:, 1], past[:, 0], past[:, 1])
     return {
         "id": scenario.id,
         **dict(zip(COLUMNS[1:4], labels)),

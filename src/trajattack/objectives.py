@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DataError, hypot_grad
+from .core import DataError, hypot_grad, offsets
 
 OBJECTIVES = ("ade", "fde", "collision_fp", "collision_fn")
 
@@ -27,20 +27,13 @@ def _check_horizon(n_pred, n_ref, name):
         raise DataError(f"{name}: prediction horizon {n_pred} != reference horizon {n_ref}")
 
 
-def _offsets(xs, ys, pts):
-    """Per-step offsets of (T, K) samples from T points, and their norms."""
-    dx = xs - pts[:, 0:1]
-    dy = ys - pts[:, 1:2]
-    return dx, dy, np.hypot(dx, dy)
-
-
 def ade_grad(xs, ys, ref_pts):
     """Negated mean displacement of the samples from the reference future.
 
     Returns (loss, d/dxs, d/dys).
     """
     _check_horizon(len(xs), len(ref_pts), "ade")
-    dx, dy, d = _offsets(xs, ys, ref_pts)
+    dx, dy, d = offsets(xs, ys, ref_pts[:, 0:1], ref_pts[:, 1:2])
     scale = 1.0 / d.size
     gx, gy = hypot_grad(dx, dy, d)
     return -(d.sum() * scale), -scale * gx, -scale * gy
@@ -52,7 +45,7 @@ def fde_grad(xs, ys, ref_pts):
     Returns (loss, d/dxs, d/dys).
     """
     _check_horizon(len(xs), len(ref_pts), "fde")
-    dx, dy, d = _offsets(xs[-1:], ys[-1:], ref_pts[-1:])
+    dx, dy, d = offsets(xs[-1:], ys[-1:], ref_pts[-1:, 0:1], ref_pts[-1:, 1:2])
     scale = 1.0 / d.size
     gx = np.zeros_like(xs)
     gy = np.zeros_like(ys)
@@ -67,7 +60,7 @@ def collision_fp_grad(xs, ys, ego_pts):
     minimizer over time.
     """
     _check_horizon(len(xs), len(ego_pts), "collision_fp")
-    dx, dy, d = _offsets(xs, ys, ego_pts)
+    dx, dy, d = offsets(xs, ys, ego_pts[:, 0:1], ego_pts[:, 1:2])
     k = d.shape[1]
     first = np.argmin(d, axis=0)
     cols = np.arange(k)
@@ -90,15 +83,13 @@ def collision_fn_grad(y_pts, xs, ys, ego_pts, clean_mean_pts):
     """
     _check_horizon(len(y_pts), len(ego_pts), "collision_fn")
     _check_horizon(len(xs), len(clean_mean_pts), "collision_fn")
-    gap = y_pts - ego_pts
-    approach = np.hypot(gap[:, 0], gap[:, 1])
+    gap_x, gap_y, approach = offsets(y_pts[:, 0], y_pts[:, 1], ego_pts[:, 0], ego_pts[:, 1])
     first = int(np.argmin(approach))
     g_y = np.zeros_like(y_pts)
-    g_y[first] = hypot_grad(gap[first, 0], gap[first, 1], approach[first])
+    g_y[first] = hypot_grad(gap_x[first], gap_y[first], approach[first])
     k = xs.shape[1]
-    ex = xs.sum(axis=1) / k - clean_mean_pts[:, 0]
-    ey = ys.sum(axis=1) / k - clean_mean_pts[:, 1]
-    drift = np.hypot(ex, ey)
+    ex, ey, drift = offsets(xs.sum(axis=1) / k, ys.sum(axis=1) / k,
+                            clean_mean_pts[:, 0], clean_mean_pts[:, 1])
     gx, gy = hypot_grad(ex, ey, drift)
     scale = 1.0 / (len(xs) * k)
     gxs = np.broadcast_to((gx * scale)[:, None], xs.shape)

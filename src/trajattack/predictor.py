@@ -29,6 +29,11 @@ import numpy as np
 from .core import ConfigError, DataError, PredictionSet, check_numeric_fields
 from .dynamics import V_EPS, inverse_states, inverse_states_pullback, state_controls
 
+# Fewest observed points a prediction reads.  The start state copies its
+# first step's velocity, so the first control that carries information
+# needs two steps.
+MIN_PAST_POINTS = 3
+
 
 @dataclass(frozen=True)
 class PredictorConfig:
@@ -99,8 +104,8 @@ class KinematicPredictor:
         """
         if horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {horizon}")
-        if len(past) < 3:
-            raise DataError("prediction needs at least 3 past points")
+        if len(past) < MIN_PAST_POINTS:
+            raise DataError(f"prediction needs at least {MIN_PAST_POINTS} past points")
         theta, v, vx, vy, sign = inverse_states(past[:, 0], past[:, 1], dt)
         m = len(past) - 1
         w = min(self.config.smoothing_window, m)

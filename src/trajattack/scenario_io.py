@@ -28,6 +28,7 @@ import numpy as np
 from .core import (AgentState, ConfigError, ControlSequence, DataError,
                    GenerationError, Scenario, Trajectory)
 from .dynamics import rollout
+from .predictor import MIN_PAST_POINTS
 
 log = logging.getLogger(__name__)
 
@@ -155,8 +156,9 @@ def generate_left_turn(params, seed=0):
     p = params
     if not DT_LIMITS[0] <= p.dt <= DT_LIMITS[1]:   # false for NaN
         raise ConfigError(f"dt must be in [{DT_LIMITS[0]:g}, {DT_LIMITS[1]:g}] s, got {p.dt}")
-    if p.H < 2 or p.T < 2:
-        raise ConfigError(f"horizons must be at least 2, got H={p.H}, T={p.T}")
+    if p.H < MIN_PAST_POINTS or p.T < 2:
+        raise ConfigError(f"horizons must be at least H={MIN_PAST_POINTS}, T=2, "
+                          f"got H={p.H}, T={p.T}")
     if p.v_target < 0.0 or p.v_ego < 0.0:
         raise ConfigError("speeds must be nonnegative")
     scenario_id = f"lt-{seed:08d}"
@@ -285,6 +287,9 @@ def _scenario_from_record(record, where):
                    if key in record}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where}: malformed record: {exc}") from None
+    if h < MIN_PAST_POINTS:
+        raise DataError(f"{where}: a past of {h} points; prediction needs at least "
+                        f"{MIN_PAST_POINTS}")
     try:
         scenario = Scenario(
             ego_past=Trajectory(arrays[("ego", "past")], dt, t0_index=-(h - 1)),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajattack.barriers import BarrierSide
+from trajattack.barriers import BarrierConfig, BarrierSide
 from trajattack.core import AgentState, ControlSequence, Scenario, Trajectory
 from trajattack.dynamics import rollout
 from trajattack.predictor import KinematicPredictor, PredictorConfig
@@ -30,19 +30,33 @@ def positions(problem, delta):
     return pts[:n_past + 1], pts[n_past + 1:]
 
 
+def barrier_sides(mode, ref_pts):
+    """The BarrierSides of one barrier form over whole trajectories: one
+    side for "time" or "traj", and for the observed "time_traj" form the
+    sides BarrierConfig composes."""
+    if mode == "time_traj":
+        return BarrierConfig(observed_mode=mode).sides(np.asarray(ref_pts, dtype=float), None)
+    return (BarrierSide(mode, ref_pts),)
+
+
 def constraint_distances(points, ref_pts, mode):
     """Every distance one barrier form constrains, along the last axis, for
-    (..., N, 2) points: BarrierSide(mode, ref_pts).measure on their x, y."""
+    (..., N, 2) points: each side's measure on their x, y, in side order."""
     pts = np.asarray(points, dtype=float)
-    return BarrierSide(mode, ref_pts).measure(pts[..., 0], pts[..., 1])[0]
+    return np.concatenate([side.measure(pts[..., 0], pts[..., 1])[0]
+                           for side in barrier_sides(mode, ref_pts)], axis=-1)
 
 
 def barrier_grad(mode, points, ref_pts, d_max):
-    """(loss, d/dpoints) of one barrier form on (N, 2) points: the pullback
-    of the side's measurement of them."""
-    side = BarrierSide(mode, ref_pts)
+    """(loss, d/dpoints) of one barrier form on (N, 2) points: the pullbacks
+    of the sides' measurements of them, summed in side order."""
     pts = np.asarray(points, dtype=float)
-    return side.pullback(side.measure(pts[..., 0], pts[..., 1])[1], d_max)
+    loss, grad = 0.0, np.zeros_like(pts)
+    for side in barrier_sides(mode, ref_pts):
+        term, g = side.pullback(side.measure(pts[..., 0], pts[..., 1])[1], d_max)
+        loss = loss + term
+        grad[side.rows] += g
+    return loss, grad
 
 
 DEGENERATE_KINDS = ("stopping", "reversing", "short-past", "starts-at-rest",

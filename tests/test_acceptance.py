@@ -214,7 +214,7 @@ def test_criterion_3_gradient_correctness():
         err = finite_diff_check(loss, delta.ravel().tolist())
         key = (objective, observed, future)
         worst[key] = max(worst.get(key, 0.0), err)
-        _, g = problem.loss_and_grad(delta)
+        _, g = problem.loss_and_grad(delta, problem.measure(delta)[1])
         worst_adjoint = max(worst_adjoint, central_difference_error(
             g.ravel(), loss, delta.ravel().tolist()))
         done += 1

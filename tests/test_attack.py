@@ -101,14 +101,14 @@ class TestControlBox:
         cfg = AttackConfig(a_min=-9.0, a_max=9.0)
         lo, hi, _ = control_box(seq([[0.0, 0.0]]), cfg)
         problem = _StubProblem(grad=[[-100.0, 3.0]], lo=lo, hi=hi)
-        state, _ = pgd_iteration(problem, PGDState(delta=np.zeros((1, 2)), alpha=0.01))
+        state, _ = pgd_iteration(problem, _start(problem, np.zeros((1, 2)), 0.01))
         np.testing.assert_array_equal(state.delta, [[1.0, -0.03]])
 
     def test_project_clips_to_box(self):
         cfg = AttackConfig(a_min=-9.0, a_max=9.0)
         lo, hi, _ = control_box(seq([[0.0, 0.18]]), cfg)
         problem = _StubProblem(grad=[[-300.0, -5.0]], lo=lo, hi=hi)
-        state, _ = pgd_iteration(problem, PGDState(delta=np.zeros((1, 2)), alpha=0.01))
+        state, _ = pgd_iteration(problem, _start(problem, np.zeros((1, 2)), 0.01))
         assert state.delta[0, 0] == 2.0
         assert math.isclose(state.delta[0, 1], 0.02, abs_tol=1e-15)
 
@@ -154,21 +154,28 @@ class _StubProblem:
         self.max_halvings = max_halvings
         self._loss = loss
 
-    def loss_and_grad(self, delta, states=None):
-        assert states is None or (np.array_equal(states[0], delta)
-                                  and np.array_equal(states[1], np.abs(delta)))
+    def loss_and_grad(self, delta, states):
+        assert np.array_equal(states[0], delta) and np.array_equal(states[1], np.abs(delta))
         return self._loss, self._grad.copy()
+
+    def measure(self, deltas):
+        return np.abs(deltas).max(axis=(-2, -1)), (deltas.copy(), np.abs(deltas))
 
     def feasibility(self, deltas):
         ok = np.array([bool(self._feasible(d)) for d in deltas])
-        return ok, np.abs(deltas).max(axis=(1, 2)), (deltas.copy(), np.abs(deltas))
+        return (ok, *self.measure(deltas))
+
+
+def _start(problem, delta, alpha):
+    """The PGD state at delta, carrying problem's measurement of it."""
+    return PGDState(delta=delta, alpha=alpha, states=problem.measure(delta)[1])
 
 
 class TestPgdIteration:
     def test_single_step_hits_box_edge(self):
         problem = _StubProblem(grad=[[2.0, 0.0]],
                                lo=[[-0.01, -0.01]], hi=[[0.01, 0.01]])
-        state = PGDState(delta=np.zeros((1, 2)), alpha=0.01)
+        state = _start(problem, np.zeros((1, 2)), 0.01)
         state, loss = pgd_iteration(problem, state)
         assert loss == 0.0
         assert state.delta[0, 0] == -0.01
@@ -177,7 +184,7 @@ class TestPgdIteration:
     def test_zero_gradient_leaves_iterate_and_decays_alpha(self):
         problem = _StubProblem(grad=[[0.0, 0.0]], lo=[[-1, -1]], hi=[[1, 1]])
         start = np.array([[0.3, -0.2]])
-        state = PGDState(delta=start.copy(), alpha=0.01)
+        state = _start(problem, start.copy(), 0.01)
         state, _ = pgd_iteration(problem, state)
         np.testing.assert_array_equal(state.delta, start)
         assert state.alpha == 0.01 * 0.99
@@ -191,7 +198,7 @@ class TestPgdIteration:
 
         problem = _StubProblem(grad=[[1.0, 0.0]], lo=[[-1, -1]], hi=[[1, 1]],
                                feasible=feasible)
-        state = PGDState(delta=np.zeros((1, 2)), alpha=0.08)
+        state = _start(problem, np.zeros((1, 2)), 0.08)
         state, _ = pgd_iteration(problem, state)
         assert state.halving_events == 2
         assert math.isclose(state.delta[0, 0], -0.02, abs_tol=1e-15)
@@ -205,17 +212,18 @@ class TestPgdIteration:
         problem = _StubProblem(grad=[[1.0, 0.0]], lo=[[-1, -1]], hi=[[1, 1]],
                                feasible=lambda d: False, max_halvings=3)
         start = np.array([[0.5, 0.5]])
-        state = PGDState(delta=start.copy(), alpha=0.01)
+        state = _start(problem, start.copy(), 0.01)
+        start_states = state.states
         state, _ = pgd_iteration(problem, state)
         np.testing.assert_array_equal(state.delta, start)
         assert state.rejections == 1
         assert state.halving_events == 3
-        assert state.states is None   # a rejected step keeps the old states
+        assert state.states is start_states   # a rejected step keeps the old states
 
     def test_linear_descent_matches_closed_form(self):
         g = np.array([[0.7, -0.3]])
         problem = _StubProblem(grad=g, lo=[[-10, -10]], hi=[[10, 10]], gamma=0.5)
-        state = PGDState(delta=np.zeros((1, 2)), alpha=0.01)
+        state = _start(problem, np.zeros((1, 2)), 0.01)
         for _ in range(10):
             state, _ = pgd_iteration(problem, state)
         # delta = -g * alpha0 * sum of gamma^m
@@ -232,7 +240,7 @@ class TestPgdIteration:
 
         problem = _StubProblem(grad=[[1.0, 0.0]], lo=[[-1, -1]], hi=[[1, 1]],
                                feasible=feasible)
-        state = PGDState(delta=np.zeros((1, 2)), alpha=0.5)
+        state = _start(problem, np.zeros((1, 2)), 0.5)
         state, _ = pgd_iteration(problem, state)
         assert state.halving_events == 10
         assert state.rejections == 0
@@ -240,7 +248,7 @@ class TestPgdIteration:
 
     def test_max_accepted_distance_tracks_worst(self):
         problem = _StubProblem(grad=[[1.0, 0.0]], lo=[[-1, -1]], hi=[[1, 1]])
-        state = PGDState(delta=np.zeros((1, 2)), alpha=0.25)
+        state = _start(problem, np.zeros((1, 2)), 0.25)
         state, _ = pgd_iteration(problem, state)
         assert state.max_accepted_distance == 0.25
         state, _ = pgd_iteration(problem, state)
@@ -359,7 +367,8 @@ class TestRunAttack:
         controls = np.vstack([res.u_pert.inputs, res.v_pert.inputs])
         delta = controls - problem.ref_controls
         assert np.array_equal(problem.ref_controls + delta, controls)
-        assert res.diagnostics["final_loss"] == problem.loss_and_grad(delta)[0]
+        assert res.diagnostics["final_loss"] == \
+            problem.loss_and_grad(delta, problem.measure(delta)[1])[0]
 
     def test_collision_fn_drift_is_zero_at_the_start(self):
         # the unperturbed predictions are the clean ones: the drift term and
@@ -414,7 +423,7 @@ def test_stacked_feasibility_equals_one_at_a_time(barrier):
     ok, worst, states = problem.feasibility(cands)
     assert ok.shape == worst.shape == (12,)
     assert all(s.shape == (12, problem.n_controls + 1) for s in states[:4])
-    assert len(states) == 4 + sum(side.n_parts for side in problem.sides)
+    assert len(states) == 4 + 3 * len(problem.sides)
     assert not ok[0] and ok[-1]
     for k, cand in enumerate(cands):
         one_ok, one_worst, one_states = problem.feasibility(cand)
@@ -439,7 +448,7 @@ def test_accepted_iterates_are_boxed_and_feasible(seed, preset, config, alpha0, 
                        a_min=-4.0, a_max=4.0,
                        barrier=BarrierConfig(observed_mode=observed, future_mode=future))
     problem = AttackProblem(scenario, cfg, KinematicPredictor(PredictorConfig(n_samples=8)))
-    state = PGDState(delta=np.zeros((problem.n_controls, 2)), alpha=alpha0)
+    state = _start(problem, np.zeros((problem.n_controls, 2)), alpha0)
     for _ in range(iterations):
         state, _ = pgd_iteration(problem, state)
         assert np.all(problem.lo <= state.delta) and np.all(state.delta <= problem.hi)
@@ -459,8 +468,8 @@ class _Remeasuring:
     def __getattr__(self, name):
         return getattr(self._problem, name)
 
-    def loss_and_grad(self, delta, states=None):
-        return self._problem.loss_and_grad(delta)
+    def loss_and_grad(self, delta, states):
+        return self._problem.loss_and_grad(delta, self._problem.measure(delta)[1])
 
 
 @pytest.mark.parametrize("max_halvings", [30, 2])
@@ -476,17 +485,16 @@ def test_carried_states_equal_a_fresh_rollout(left_turn, objective, observed, fu
                        barrier=BarrierConfig(observed_mode=observed, future_mode=future))
     predictor = KinematicPredictor(PredictorConfig())
     problem = AttackProblem(left_turn, cfg, predictor)
-    carried = PGDState(delta=np.zeros((problem.n_controls, 2)), alpha=cfg.alpha0)
-    fresh = PGDState(delta=carried.delta, alpha=cfg.alpha0)
+    carried = _start(problem, np.zeros((problem.n_controls, 2)), cfg.alpha0)
+    fresh = _start(problem, carried.delta, cfg.alpha0)
     trace = []
     for _ in range(cfg.max_iterations):
         carried, _ = pgd_iteration(problem, carried)
         fresh, loss = pgd_iteration(_Remeasuring(problem), fresh)
         assert np.array_equal(carried.delta, fresh.delta)
-        if carried.states is not None:
-            measured = problem.feasibility(carried.delta)[2]
-            assert len(carried.states) == len(measured)
-            assert all(np.array_equal(s, m) for s, m in zip(carried.states, measured))
+        measured = problem.feasibility(carried.delta)[2]
+        assert len(carried.states) == len(measured)
+        assert all(np.array_equal(s, m) for s, m in zip(carried.states, measured))
         trace.append(loss)
     result = run_attack(left_turn, cfg, predictor)
     assert result.loss_trace == tuple(trace)
@@ -498,7 +506,7 @@ def test_carried_states_equal_a_fresh_rollout(left_turn, objective, observed, fu
         "max_accepted_distance": fresh.max_accepted_distance,
         "max_box_excess": fresh.max_box_excess,
         "empty_box_entries": problem.empty_box_entries,
-        "final_loss": problem.loss_and_grad(fresh.delta)[0],
+        "final_loss": problem.loss_and_grad(fresh.delta, problem.measure(fresh.delta)[1])[0],
     }
 
 
@@ -507,7 +515,7 @@ def _assert_adjoint_matches_tape(problem, probes):
         leaves = [Var(float(v)) for v in delta.ravel()]
         tape_loss = reference_loss(problem, leaves)
         tape_grad = np.array(grad(tape_loss, leaves)).reshape(delta.shape)
-        loss, g = problem.loss_and_grad(delta)
+        loss, g = problem.loss_and_grad(delta, problem.measure(delta)[1])
         assert abs(loss - value(tape_loss)) <= 1e-9 * abs(value(tape_loss))
         assert np.max(np.abs(g - tape_grad)) <= 1e-9 * np.max(np.abs(tape_grad))
 

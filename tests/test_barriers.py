@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tape_reference
-from conftest import barrier_grad, constraint_distances
+from conftest import barrier_grad, barrier_sides, constraint_distances
 from tape_reference import Var, d_traj, grad, value
 from trajattack.barriers import (FUTURE_MODES, OBSERVED_MODES, BarrierConfig, BarrierSide,
                                  InfeasibleError)
@@ -59,6 +59,18 @@ class TestBarrierConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             BarrierConfig(**kwargs)
+
+    def test_sides_compose_time_traj_from_the_two_notions(self):
+        past, future = np.asarray(STRAIGHT[:6]), np.asarray(STRAIGHT[6:])
+        config = BarrierConfig(observed_mode="time_traj", future_mode="traj")
+        sides = config.sides(past, future)
+        assert [(s.mode, s.rows) for s in sides] == [
+            ("traj", slice(0, 6)), ("time", slice(5, 6)), ("traj", slice(6, None))]
+        assert np.array_equal(sides[1].ref_x, past[-1:, 0])
+        only_time = BarrierConfig().sides(past, None)
+        assert [(s.mode, s.rows) for s in only_time] == [("time", slice(0, 6))]
+        with pytest.raises(ConfigError):
+            BarrierSide("time_traj", STRAIGHT)
 
 
 class TestDistances:
@@ -219,12 +231,17 @@ def test_one_trajectory_grad_equals_the_carried_slice(mode):
     stack[:, 1] = KINKED[3]
     stack[:, 2] = KINKED[4]
     stack[:, 5] = KINKED[5]
-    side = BarrierSide(mode, KINKED)
-    d, parts = side.measure(stack[..., 0], stack[..., 1])
-    assert len(parts) == side.n_parts
+    sides = barrier_sides(mode, KINKED)
+    measured = [side.measure(stack[..., 0], stack[..., 1]) for side in sides]
+    assert all(len(parts) == 3 for _, parts in measured)
+    d = np.concatenate([side_d for side_d, _ in measured], axis=-1)
     tape_form = getattr(tape_reference, f"barrier_{mode}")
     for k, points in enumerate(stack):
-        carried = side.pullback([np.ascontiguousarray(p[k]) for p in parts], 2.0)
+        carried = [0.0, np.zeros_like(points)]
+        for side, (_, parts) in zip(sides, measured):
+            term, g = side.pullback([np.ascontiguousarray(p[k]) for p in parts], 2.0)
+            carried[0] = carried[0] + term
+            carried[1][side.rows] += g
         loss, g = barrier_grad(mode, points, KINKED, 2.0)
         assert carried[0] == loss and np.array_equal(carried[1], g)
         assert np.array_equal(d[k], constraint_distances(points, KINKED, mode))

@@ -194,6 +194,23 @@ class TestAttack:
             assert any(f"{scenes}:{line}:" in m and "skipped" in m for m in warned)
         assert len(read_rows_jsonl(tmp_path / "x.jsonl")) == 2
 
+    def test_too_short_past_is_skipped(self, scene_file, tmp_path, caplog):
+        """A record whose past has fewer points than a prediction reads is
+        skipped with a warning naming its line, and the valid record after
+        it is attacked."""
+        lines = scene_file.read_text().splitlines()
+        short = json.loads(lines[0])
+        short.update(H=2, target_past=short["target_past"][-2:],
+                     ego_past=short["ego_past"][-2:])
+        scenes = tmp_path / "short.jsonl"
+        scenes.write_text("\n".join([json.dumps(short), lines[1]]) + "\n")
+        with caplog.at_level("WARNING"):
+            assert run("attack", "--scenarios", scenes, "--out", tmp_path / "x",
+                       "--objective", "ade", "--iters", 2) == 0
+        assert any(f"{scenes}:1:" in rec.getMessage() and "skipped" in rec.getMessage()
+                   for rec in caplog.records)
+        assert len(read_rows_jsonl(tmp_path / "x.jsonl")) == 2
+
     @pytest.mark.parametrize("target", ["scenarios-jsonl", "scenarios-csv", "config",
                                         "results"])
     def test_undecodable_file_is_named(self, scene_file, results, tmp_path, capsys, target):
@@ -372,8 +389,10 @@ class TestAttack:
         assert not list(tmp_path.glob("x*"))
 
     def test_unwritable_output_is_reported(self, scene_file, tmp_path):
+        # the directory exists, but a directory holds the rows file's name
+        (tmp_path / "x.jsonl").mkdir()
         code = run("attack", "--scenarios", scene_file,
-                   "--out", tmp_path / "nodir" / "x",
+                   "--out", tmp_path / "x",
                    "--objective", "ade", "--iters", 1)
         assert code == 4
 
@@ -384,8 +403,10 @@ class TestAttack:
         behind it is reached with the plausibility limit lifted."""
         monkeypatch.setattr(scenario_io, "MAX_STEP_SPEED", math.inf)
         scenes = tmp_path / "huge.jsonl"
-        # generate refuses such speeds; the file is written through the library
-        params = LeftTurnParams(v_target=1e300, v_ego=8.0, turn_radius=6.5, gap_s=1.2)
+        # generate refuses such speeds; the file is written through the library.
+        # Displacements of 1e300 m stay finite under hypot; their mean over the
+        # samples does not once the speed is 1e306 m/s.
+        params = LeftTurnParams(v_target=1e306, v_ego=8.0, turn_radius=6.5, gap_s=1.2)
         write_scenarios(scenes, [dataclasses.replace(generate_left_turn(params), id="lt-0000")])
         assert run("attack", "--scenarios", scenes, "--out", tmp_path / "x",
                    "--objective", "ade", "--iters", 1) == 3
@@ -460,6 +481,22 @@ class TestReport:
         assert run("report", "--results", bad, "--out", tmp_path / "rep") == 3
         assert f"{bad}:2:" in capsys.readouterr().err
         assert not (tmp_path / "rep.manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "attack", "report"])
+def test_missing_output_directory_is_config_error(scene_file, results, tmp_path, capsys,
+                                                  monkeypatch, command):
+    """An --out in a directory that does not exist is a configuration error
+    (exit 2) naming the directory, raised before any attack runs; nothing
+    is written."""
+    monkeypatch.setattr(cli, "run_attack", lambda *a: pytest.fail("an attack ran"))
+    out = tmp_path / "missing" / "x"
+    argv = {"generate": ("--n", 2, "--out", f"{out}.jsonl"),
+            "attack": ("--scenarios", scene_file, "--grid", "--out", out),
+            "report": ("--results", f"{results}.jsonl", "--out", out)}[command]
+    assert run(command, *argv) == 2
+    assert repr(str(tmp_path / "missing")) in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 class TestSeeding:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -40,8 +41,8 @@ def test_differences_counts_and_margins(tmp_path, capsys):
     old = compare_rows.read_rows(_write(tmp_path / "old.jsonl", OLD))
     new = compare_rows.read_rows(_write(tmp_path / "new.jsonl", NEW))
     diffs = compare_rows.column_differences(old, new, ["ADE", "FDE", "max_accepted_distance"])
-    assert diffs["ADE"] == (0.5, 0.5, 1)
-    assert diffs["FDE"] == (0.0, 0.0, 0)
+    assert diffs["ADE"] == (0.5, 0.5, 0.5 / math.ulp(1.5), 1)
+    assert diffs["FDE"] == (0.0, 0.0, 0.0, 0)
     assert abs(diffs["max_accepted_distance"][0] - 0.05) < 1e-15
     assert compare_rows.count_differences(old, new) == [("a", "ade", "time", "none")]
     means = compare_rows.configuration_means(new, ["ADE"])
@@ -65,3 +66,30 @@ def test_identical_files(tmp_path, capsys):
     assert compare_rows.main([str(path), str(path), "--columns", "ADE"]) == 0
     out = capsys.readouterr().out
     assert "identical: 6" in out and "differ: 0" in out
+
+
+def test_one_ulp_pair_reads_one_ulp(tmp_path, capsys):
+    """A value and the next float above it differ by 1 ulp, at a power of two
+    and away from one, whichever file is old."""
+    for value in (0.1, 2.0, 4.5e-16):
+        up = math.nextafter(value, math.inf)
+        old = _write(tmp_path / "old.jsonl", [_row("a", "ade", ADE=value)])
+        new = _write(tmp_path / "new.jsonl", [_row("a", "ade", ADE=up)])
+        for a, b in ((old, new), (new, old)):
+            diffs = compare_rows.column_differences(compare_rows.read_rows(a),
+                                                    compare_rows.read_rows(b), ["ADE"])
+            assert diffs["ADE"][2:] == (1.0, 1)
+    assert compare_rows.main([str(old), str(new), "--columns", "ADE"]) == 0
+    assert "ulps" in capsys.readouterr().out
+
+
+def test_duplicate_key_is_refused(tmp_path, capsys):
+    """Two rows with one key would leave only the last; the tool exits 1
+    and names the key and its line."""
+    dup = _write(tmp_path / "dup.jsonl", [_row("a", "ade"), _row("b", "ade"),
+                                          _row("a", "ade", ADE=2.0)])
+    good = _write(tmp_path / "good.jsonl", OLD)
+    assert compare_rows.main([str(good), str(dup)]) == 1
+    captured = capsys.readouterr()
+    assert f"{dup}:3: duplicate row key a/ade/time/none" in captured.err
+    assert captured.out == ""

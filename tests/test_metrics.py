@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import make_trajectory
-from trajattack.attack import AttackConfig, AttackResult
+from trajattack.attack import AttackConfig, AttackResult, run_attack
 from trajattack.core import ControlSequence, DataError, PredictionSet, Scenario
 from trajattack.dynamics import extract_controls
 from trajattack.metrics import (COLUMNS, DIAGNOSTICS, aggregate, collision_rate,
                                 compute_attack_row, compute_baseline_row, read_rows_jsonl,
                                 write_rows_csv, write_rows_jsonl)
 from trajattack.objectives import ade_grad, fde_grad
+from trajattack.scenario_io import generate_left_turn, sample_left_turn_params
 
 LEN, WID = 4.2, 1.7
 
@@ -100,6 +101,29 @@ class TestDisplacementMetrics:
                                AttackConfig())
         assert r["D_max"] == 0.6
         assert math.isclose(r["D_mean"], 0.05, abs_tol=1e-12)
+
+    def test_displacements_are_elementwise_hypot(self, predictor):
+        """ADE, FDE, D_max and D_mean of attack and baseline rows on generated
+        scenes are bitwise the means and maximum of element-wise np.hypot
+        distances, the kernel the attack's objectives and barriers use."""
+        for seed in range(4):
+            scenario = generate_left_turn(
+                sample_left_turn_params(np.random.default_rng(seed)), seed=seed)
+            cfg = AttackConfig(max_iterations=3, a_min=-4.0, a_max=4.0)
+            result = run_attack(scenario, cfg, predictor)
+            for pred, past, r in (
+                    (result.pred_pert, result.x_pert,
+                     compute_attack_row(scenario, result, cfg)),
+                    (result.pred_clean, scenario.target_past,
+                     compute_baseline_row(scenario, result.pred_clean))):
+                gap = pred.samples - scenario.target_future.points
+                error = np.hypot(gap[..., 0], gap[..., 1])
+                shift = past.points - scenario.target_past.points
+                moved = np.hypot(shift[:, 0], shift[:, 1])
+                assert r["ADE"] == float(error.mean())
+                assert r["FDE"] == float(error[:, -1].mean())
+                assert r["D_max"] == float(moved.max())
+                assert r["D_mean"] == float(moved.mean())
 
 
 class TestControlMetrics:

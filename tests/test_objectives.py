@@ -151,7 +151,9 @@ class TestCollisionFn:
 
 class TestCompose:
     def test_sum_with_default_weights(self, left_turn):
-        # the attack's total loss is the objective plus each barrier term
+        # the attack's total loss is the objective plus each barrier side's
+        # term, in side order: time_traj is a traj side over the past and a
+        # time side on the prediction point
         cfg = AttackConfig(objective="ade", a_min=-4.0, a_max=4.0,
                            barrier=BarrierConfig(observed_mode="time_traj",
                                                  future_mode="traj"))
@@ -163,9 +165,10 @@ class TestCompose:
         (xs, ys), _ = problem.predictor.predict_vjp(past, problem.dt,
                                                     problem.horizon_future)
         total = (ade_grad(xs, ys, problem.y_ref_pts)[0]
-                 + barrier_grad("time_traj", past, problem.x_ref, 0.9)[0]
+                 + barrier_grad("traj", past, problem.x_ref, 0.9)[0]
+                 + barrier_grad("time", past[-1:], problem.x_ref[-1:], 0.9)[0]
                  + barrier_grad("traj", fut, problem.y_ref, 0.9)[0])
-        assert problem.loss_and_grad(delta)[0] == total
+        assert problem.loss_and_grad(delta, problem.measure(delta)[1])[0] == total
 
     def test_objective_names(self):
         assert OBJECTIVES == ("ade", "fde", "collision_fp", "collision_fn")

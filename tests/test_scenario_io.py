@@ -115,6 +115,7 @@ class TestGeneration:
         ({"turn_radius": 4.0}, GenerationError),
         ({"dt": 20.0}, ConfigError),
         ({"dt": 1e-4}, ConfigError),
+        ({"H": 2}, ConfigError),
     ])
     def test_rejects_bad_params(self, overrides, err):
         with pytest.raises(err):

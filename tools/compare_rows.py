@@ -4,14 +4,17 @@
 
 Rows are paired by (id, objective, obs_constraint, fut_constraint).  The
 report lists, for each compared column, the largest absolute and relative
-difference; the rows whose halvings, rejections or iterations differ; the
-per-configuration means of both files side by side; and the margins of
-acceptance criteria 4 (constraint soundness) and 6 (directional efficacy)
-computed from each file's rows.  Numbers alone judge nothing here: PGD
+difference and the largest in units in the last place (|a - b| over the
+spacing of floats at max(|a|, |b|), so a difference that is roundoff alone
+reads as a few ulps); the rows whose halvings, rejections or iterations
+differ; the per-configuration means of both files side by side; and the
+margins of acceptance criteria 4 (constraint soundness) and 6 (directional
+efficacy) computed from each file's rows.  Numbers alone judge nothing here: PGD
 results are chaotic in roundoff, so a change of the arithmetic moves rows
 while the configuration means and margins should stay put.
 
-Exit codes: 0 when the two files hold the same keys, 1 otherwise.
+Exit codes: 0 when the two files hold the same keys, 1 otherwise or when
+a file holds two rows with the same key.
 """
 
 from __future__ import annotations
@@ -28,14 +31,22 @@ COUNTS = ("halvings", "rejections", "iterations")
 D_MAX = 0.9
 
 
+def _name(key):
+    return "/".join(map(str, key))
+
+
 def read_rows(path):
-    """The JSON rows of a file, keyed by KEY."""
+    """The JSON rows of a file, keyed by KEY; a key held by two rows is a
+    ValueError naming it."""
     rows = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 row = json.loads(line)
-                rows[tuple(row[k] for k in KEY)] = row
+                key = tuple(row[k] for k in KEY)
+                if key in rows:
+                    raise ValueError(f"{path}:{lineno}: duplicate row key {_name(key)}")
+                rows[key] = row
     return rows
 
 
@@ -44,11 +55,11 @@ def _number(value):
 
 
 def column_differences(old, new, columns):
-    """{column: (largest |diff|, largest relative diff, rows that differ)}
-    over the paired rows where both values are numbers."""
+    """{column: (largest |diff|, largest relative diff, largest diff in ulps,
+    rows that differ)} over the paired rows where both values are numbers."""
     out = {}
     for col in columns:
-        worst_abs = worst_rel = 0.0
+        worst_abs = worst_rel = worst_ulps = 0.0
         differ = 0
         for key in old.keys() & new.keys():
             a, b = old[key].get(col), new[key].get(col)
@@ -59,7 +70,8 @@ def column_differences(old, new, columns):
                 diff = abs(b - a)
                 worst_abs = max(worst_abs, diff)
                 worst_rel = max(worst_rel, diff / abs(a) if a else math.inf)
-        out[col] = (worst_abs, worst_rel, differ)
+                worst_ulps = max(worst_ulps, diff / math.ulp(max(abs(a), abs(b))))
+        out[col] = (worst_abs, worst_rel, worst_ulps, differ)
     return out
 
 
@@ -134,16 +146,17 @@ def report(old, new, columns):
     lines.append(f"paired rows: {len(paired)}, identical: {identical}, "
                  f"only in old: {len(only_old)}, only in new: {len(only_new)}")
     for side, keys in (("old", only_old), ("new", only_new)):
-        lines.extend(f"  only in {side}: {'/'.join(map(str, k))}" for k in keys[:10])
+        lines.extend(f"  only in {side}: {_name(k)}" for k in keys[:10])
     lines.append("")
-    lines.append("largest difference per column (absolute, relative, rows that differ):")
-    for col, (d_abs, d_rel, differ) in column_differences(old, new, columns).items():
-        lines.append(f"  {col:>22}  {_fmt(d_abs):>12}  {_fmt(d_rel):>12}  {differ}")
+    lines.append("largest difference per column (absolute, relative, ulps, rows that differ):")
+    for col, (d_abs, d_rel, d_ulps, differ) in column_differences(old, new, columns).items():
+        lines.append(f"  {col:>22}  {_fmt(d_abs):>12}  {_fmt(d_rel):>12}  {_fmt(d_ulps):>12}"
+                     f"  {differ}")
     lines.append("")
     moved = count_differences(old, new)
     lines.append(f"rows whose {', '.join(COUNTS)} differ: {len(moved)}")
     for key in moved[:20]:
-        lines.append("  " + "/".join(map(str, key)) + ": "
+        lines.append(f"  {_name(key)}: "
                      + ", ".join(f"{c} {old[key].get(c)} -> {new[key].get(c)}"
                                  for c in COUNTS if old[key].get(c) != new[key].get(c)))
     lines.append("")
@@ -172,7 +185,11 @@ def main(argv=None):
     parser.add_argument("--columns", nargs="+", default=list(METRICS),
                         help="columns to compare (default: every metric and diagnostic)")
     args = parser.parse_args(argv)
-    old, new = read_rows(args.old), read_rows(args.new)
+    try:
+        old, new = read_rows(args.old), read_rows(args.new)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print("\n".join(report(old, new, args.columns)))
     return 0 if old.keys() == new.keys() else 1
 
